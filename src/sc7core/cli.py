@@ -6,6 +6,10 @@ verify (cross-validation sweeps), forms and hurwitz (class-number data).
 Exit codes: 0 success; 1 usage error or malformed input; 2 input that is
 well-formed but outside a route's hypotheses; 3 a verification sweep hit
 a counterexample.  All output is exact: integers bare, rationals "p/q".
+
+A reader that closes stdout early (`sc7core table --max 3000 | head -2`)
+ends the command quietly with exit code 0: the rest of the output is
+dropped, and no traceback is printed.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
@@ -390,7 +395,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # Send what is still buffered to devnull, so the flush at exit
+        # cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

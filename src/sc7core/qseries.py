@@ -5,10 +5,21 @@ at or beyond the precision are unknown, never implicitly zero.  Binary
 operations truncate to the smaller precision.  Coefficients are exact
 integers or Fractions (the latter only where inversion demands them).
 
-The two series builders here are the self-conjugate t-core generating
-function and eta-quotient expansion; both work in dense integer arrays
-with sparse binomial factors, so a precision of a few thousand costs well
-under a second.
+The two series builders here work in dense integer lists and never leave
+the integers:
+
+- `sc_series` multiplies out the cancelled self-conjugate t-core product
+  with binomial factors, one list slice-add each: O(N) slice operations
+  of length up to N, so O(N^2) element steps that run inside list
+  comprehensions rather than in per-coefficient Python loops.
+- `eta_quotient_series` expands each eta factor by Euler's pentagonal
+  number theorem, which leaves about 2*sqrt(2N/(3s)) terms below N for
+  scale s; multiplying or dividing by such a sparse series costs
+  O(N^1.5).
+
+On one core of a 2-vCPU VM (Python 3.11), a precision of 4000 costs
+about 0.06 s for the SC7 eta quotient and 0.25 s for `sc_series(7, .)`;
+a precision of 10000 about 0.3 s and 2 s.
 """
 
 from __future__ import annotations
@@ -16,7 +27,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
 
 
 def format_coefficient(v) -> str:
@@ -130,9 +140,8 @@ def series_mul(a: QSeries, b: QSeries) -> QSeries:
     return a * b
 
 
-# In-place sparse kernels.  Multiplying by (1 + s*q^m) is a single shifted
-# add; dividing by (1 + s*q^m) is the recurrence b[i] = a[i] - s*b[i-m],
-# which walks each residue class mod m as a running (alternating) sum.
+# In-place kernels on dense coefficient lists.  Multiplying by
+# (1 + sign*q^m) is a single shifted add.
 
 def _mul_binomial(c: list, m: int, sign: int) -> None:
     if sign == 1:
@@ -141,17 +150,46 @@ def _mul_binomial(c: list, m: int, sign: int) -> None:
         c[m:] = [x - y for x, y in zip(c[m:], c)]
 
 
-def _div_binomial(c: list, m: int, sign: int) -> None:
-    if sign == -1:
-        for r in range(m):
-            seg = c[r::m]
-            if len(seg) > 1:
-                c[r::m] = accumulate(seg)
-    else:
-        for r in range(m):
-            seg = c[r::m]
-            if len(seg) > 1:
-                c[r::m] = accumulate(seg, lambda acc, x: x - acc)
+def _euler_terms(scale: int, limit: int) -> list:
+    """Terms (exponent, sign) of (q^scale; q^scale)_inf with
+    0 < exponent < limit, in increasing order.
+
+    Euler's pentagonal number theorem: prod_n (1 - q^n) is
+    sum_k (-1)^k q^(k(3k-1)/2) over all integers k, so the k and -k terms
+    sit at the exponents k(3k-1)/2 < k(3k+1)/2, both with sign (-1)^k.
+    """
+    terms = []
+    k = 1
+    while scale * k * (3 * k - 1) // 2 < limit:
+        sign = -1 if k % 2 else 1
+        for e in (k * (3 * k - 1) // 2, k * (3 * k + 1) // 2):
+            if scale * e < limit:
+                terms.append((scale * e, sign))
+        k += 1
+    return terms
+
+
+def _mul_sparse(c: list, terms: list) -> None:
+    """c <- c * (1 + sum sign*q^e), one slice-add per term."""
+    src = c[:]
+    for e, sign in terms:
+        if sign == 1:
+            c[e:] = [x + y for x, y in zip(c[e:], src)]
+        else:
+            c[e:] = [x - y for x, y in zip(c[e:], src)]
+
+
+def _div_sparse(c: list, terms: list) -> None:
+    """c <- c / (1 + sum sign*q^e) by the recurrence
+    b[i] = c[i] - sum sign*b[i-e]; the divisor has constant term 1, so
+    the quotient stays integral."""
+    for i in range(1, len(c)):
+        acc = c[i]
+        for e, sign in terms:
+            if e > i:
+                break
+            acc -= sign * c[i - e]
+        c[i] = acc
 
 
 def euler_factor(scale: int, sign: int, prec: int) -> QSeries:
@@ -175,6 +213,17 @@ def sc_series(t: int, prec: int) -> QSeries:
         prod_{n>=1} (1 - q^(2tn))^((t-1)/2) (1 + q^(2n-1)) / (1 + q^(t(2n-1)))
 
     The coefficient of q^n is the number of self-conjugate t-cores of n.
+
+    For odd t the denominators are exactly the factors (1 + q^m) with m an
+    odd multiple of t, so they cancel against the numerator (Garvan-Kim-
+    Stanton, "Cranks and t-cores", 1990), leaving the division-free
+
+        prod_{n>=1} (1 - q^(2tn))^((t-1)/2) * prod_{m odd, t does not divide m} (1 + q^m).
+
+    Each factor is one binomial multiply: O(prec) slice-adds of length at
+    most prec.  The (1 - q^(2tn)) factors are deliberately not expanded by
+    the pentagonal theorem, which keeps this route independent of the one
+    in `eta_quotient_series` that it is checked against.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be a positive odd integer, got {t}")
@@ -186,9 +235,8 @@ def sc_series(t: int, prec: int) -> QSeries:
         for _ in range((t - 1) // 2):
             _mul_binomial(c, m, -1)
     for m in range(1, prec, 2):
-        _mul_binomial(c, m, 1)
-    for m in range(t, prec, 2 * t):
-        _div_binomial(c, m, 1)
+        if m % t:
+            _mul_binomial(c, m, 1)
     return QSeries(c)
 
 
@@ -226,8 +274,12 @@ class EtaQuotientSpec:
 def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     """q-expansion of the eta quotient, including the q^leading_power shift.
 
-    Negative exponents divide by (1 - q^(scale*n)) factors exactly; the
-    constant term of every inverted factor is 1, so coefficients stay
+    Each factor (q^scale; q^scale)_inf is taken in its sparse pentagonal
+    form (about 2*sqrt(2N/(3*scale)) terms below the body length N =
+    prec - shift).  A positive exponent multiplies by it once per unit,
+    one slice-add per term; a negative exponent divides by it once per
+    unit with the recurrence b[i] = c[i] - sum_e P_e b[i-e].  Both cost
+    O(N^1.5).  Every divisor has constant term 1, so coefficients stay
     integers.
     """
     if prec < 1:
@@ -239,13 +291,10 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     c = [0] * body
     c[0] = 1
     for scale, exponent in spec.factors:
-        for m in range(scale, body, scale):
-            if exponent > 0:
-                for _ in range(exponent):
-                    _mul_binomial(c, m, -1)
-            else:
-                for _ in range(-exponent):
-                    _div_binomial(c, m, -1)
+        terms = _euler_terms(scale, body)
+        kernel = _mul_sparse if exponent > 0 else _div_sparse
+        for _ in range(abs(exponent)):
+            kernel(c, terms)
     return QSeries([0] * shift + c)
 
 

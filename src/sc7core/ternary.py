@@ -78,9 +78,9 @@ def _interval(center: Fraction, dcoef: Fraction, rem: Fraction) -> tuple[int, in
 def rep_count(Q: TernaryQF, m: int) -> int:
     """Number of integer triples with Q(x,y,z) = m, by exhaustive search.
 
-    Scans one layer beyond every interval and asserts that no solution
-    lands there, so the completed-squares bounds are verified on every
-    call rather than trusted.
+    Scans one layer beyond every interval and raises RuntimeError if a
+    solution lands there, so the completed-squares bounds are verified on
+    every call rather than trusted (also under python -O).
     """
     if m < 0:
         raise ValueError(f"need a non-negative target, got {m}")
@@ -96,8 +96,8 @@ def rep_count(Q: TernaryQF, m: int) -> int:
             xlo, xhi = _interval(l12 * y + l13 * z, d1, rem1)
             for x in range(xlo - 1, xhi + 2):
                 if Q(x, y, z) == m:
-                    assert zlo <= z <= zhi and ylo <= y <= yhi and xlo <= x <= xhi, \
-                        f"box bound violated at {(x, y, z)} for {Q} = {m}"
+                    if not (zlo <= z <= zhi and ylo <= y <= yhi and xlo <= x <= xhi):
+                        raise RuntimeError(f"box bound violated at {(x, y, z)} for {Q} = {m}")
                     count += 1
     return count
 

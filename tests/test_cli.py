@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -190,3 +191,25 @@ def test_cli_end_to_end_subprocess():
         capture_output=True, text=True,
     )
     assert proc.returncode == 2
+    # a pipe that stays open gets the same bytes as an in-process call
+    argv = ["table", "--max", "300", "--routes", "qseries,eta,theta", "--format", "json"]
+    proc = subprocess.run([sys.executable, "-m", "sc7core.cli", *argv],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout == run_cli(*argv)[1]
+
+
+def test_closed_stdout_exits_cleanly():
+    # With the read end closed before the command starts, the first write
+    # fails: inside cmd_table for a table larger than the stdout buffer,
+    # at the final flush for a one-line sc7 answer.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        for argv in (["table", "--max", "1000"], ["sc7", "9"]):
+            proc = subprocess.run([sys.executable, "-m", "sc7core.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  timeout=120)
+            assert (proc.returncode, proc.stderr) == (0, "")
+    finally:
+        os.close(write_end)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import accumulate
 
 import pytest
 
@@ -7,6 +8,7 @@ from sc7core.qseries import (
     QSeries,
     SC7_ETA_QUOTIENT,
     EtaQuotientSpec,
+    _euler_terms,
     euler_factor,
     eta_quotient_series,
     format_coefficient,
@@ -159,3 +161,94 @@ def test_eta_quotient_short_precision():
 def test_sc7_eta_quotient_spec():
     assert SC7_ETA_QUOTIENT.factors == ((2, 2), (14, 1), (7, 1), (28, 1), (4, -1), (1, -1))
     assert SC7_ETA_QUOTIENT.leading_power == 2
+
+
+# Reference builders: the quadratic-time binomial algorithms that
+# sc_series and eta_quotient_series used before their pentagonal and
+# cancelled-product rewrites, kept here as independent oracles.
+
+def _ref_mul_binomial(c, m, sign):
+    # c <- c * (1 + sign*q^m)
+    c[m:] = [x + sign * y for x, y in zip(c[m:], c)]
+
+
+def _ref_div_binomial(c, m, sign):
+    # c <- c / (1 + sign*q^m): a running alternating sum per residue class mod m
+    for r in range(m):
+        seg = c[r::m]
+        if len(seg) > 1:
+            if sign == -1:
+                c[r::m] = accumulate(seg)
+            else:
+                c[r::m] = accumulate(seg, lambda acc, x: x - acc)
+
+
+def _ref_sc_series(t, prec):
+    c = [0] * prec
+    c[0] = 1
+    for m in range(2 * t, prec, 2 * t):
+        for _ in range((t - 1) // 2):
+            _ref_mul_binomial(c, m, -1)
+    for m in range(1, prec, 2):
+        _ref_mul_binomial(c, m, 1)
+    for m in range(t, prec, 2 * t):
+        _ref_div_binomial(c, m, 1)
+    return tuple(c)
+
+
+def _ref_eta_quotient_series(spec, prec):
+    shift = int(spec.leading_power)
+    body = prec - shift
+    if body <= 0:
+        return (0,) * prec
+    c = [0] * body
+    c[0] = 1
+    for scale, exponent in spec.factors:
+        for m in range(scale, body, scale):
+            for _ in range(abs(exponent)):
+                if exponent > 0:
+                    _ref_mul_binomial(c, m, -1)
+                else:
+                    _ref_div_binomial(c, m, -1)
+    return (0,) * shift + tuple(c)
+
+
+# 70 is a generalized pentagonal number, and so are 70/2 = 35 and 70/14 = 5:
+# a body of length 70 stops just short of a term of (q;q), (q^2;q^2) and
+# (q^14;q^14).
+PENTAGONAL_EDGE = 70
+
+
+def _precisions(shift):
+    return (1, 2, shift + 1, shift + PENTAGONAL_EDGE, 602)
+
+
+@pytest.mark.parametrize("scale", [1, 2, 7, 14, 28])
+def test_euler_terms_match_binomial_product(scale):
+    # 5 is pentagonal, so prec = 5*scale ends exactly on a term
+    for prec in (1, 2, 5 * scale, 5 * scale + 1, 400):
+        dense = [0] * prec
+        dense[0] = 1
+        for e, sign in _euler_terms(scale, prec):
+            assert dense[e] == 0
+            dense[e] = sign
+        assert tuple(dense) == euler_factor(scale, -1, prec).coeffs
+
+
+@pytest.mark.parametrize("spec", [
+    SC7_ETA_QUOTIENT,
+    EtaQuotientSpec(((8, 3),)),
+    EtaQuotientSpec(((1, -3), (3, 9))),
+    EtaQuotientSpec(((2, 5), (1, -2), (4, -2))),
+    EtaQuotientSpec(((4, -3), (12, 3))),
+    EtaQuotientSpec(((6, -2), (3, 4), (2, 6), (1, 12))),
+])
+def test_eta_quotient_matches_reference(spec):
+    for prec in _precisions(int(spec.leading_power)):
+        assert eta_quotient_series(spec, prec).coeffs == _ref_eta_quotient_series(spec, prec)
+
+
+@pytest.mark.parametrize("t", [1, 3, 5, 7, 9, 11])
+def test_sc_series_matches_reference(t):
+    for prec in _precisions(0):
+        assert sc_series(t, prec).coeffs == _ref_sc_series(t, prec)

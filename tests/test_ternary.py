@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import isqrt
+from pathlib import Path
 
 import pytest
 
+import sc7core
 from sc7core.partitions import sc_count
 from sc7core.qseries import QSeries
 from sc7core.ternary import (
@@ -93,3 +98,34 @@ def test_sc7_from_thetas_spot():
     assert sc7_from_thetas(9) == 2
     assert sc7_from_thetas(11) == 1
     assert sc7_from_thetas(25) == 4
+
+
+# Narrows every box interval by one on each side, so that rep_count's
+# one-layer-beyond scan finds solutions outside the box it was given.
+NARROW_BOX = """
+import sys
+from sc7core import ternary
+
+interval = ternary._interval
+
+
+def narrow(center, dcoef, rem):
+    lo, hi = interval(center, dcoef, rem)
+    return lo + 1, hi - 1
+
+
+ternary._interval = narrow
+print(sys.flags.optimize)
+ternary.sc7_from_thetas(9)
+"""
+
+
+def test_box_bound_check_survives_optimize():
+    src = str(Path(sc7core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", NARROW_BOX],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "1\n"  # assert statements are stripped in this run
+    assert proc.returncode == 1
+    assert "RuntimeError: box bound violated at" in proc.stderr
