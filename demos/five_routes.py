@@ -27,9 +27,9 @@ qs = sc_series(7, LIMIT + 1)
 eta = eta_quotient_series(SC7_ETA_QUOTIENT, LIMIT + 3)
 
 # Route 4: weighted lattice-point counts of three ternary forms,
-# also read off at n+2.  The weights are fractions but the total is a
-# count, so int() is exact here.
-by_theta = [int(sc7_from_thetas(n)) for n in range(LIMIT + 1)]
+# also read off at n+2.  The weights are fractions; sc7_from_thetas
+# checks that the total is a non-negative integer and returns an int.
+by_theta = [sc7_from_thetas(n) for n in range(LIMIT + 1)]
 
 print(f"{'n':>3} {'enum':>5} {'qseries':>8} {'eta':>5} {'theta':>6} {'closed':>7}")
 for n in range(LIMIT + 1):

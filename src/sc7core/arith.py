@@ -19,6 +19,10 @@ class HypothesisViolation(ValueError):
     """Input is well-formed but falls outside a formula's hypotheses."""
 
 
+class InexactCount(ArithmeticError):
+    """A computed count came out non-integral or negative."""
+
+
 def is_prime(n: int) -> bool:
     """Deterministic trial division; inputs here are desk-scale."""
     if n < 2:

@@ -5,7 +5,9 @@ verify (cross-validation sweeps), forms and hurwitz (class-number data).
 
 Exit codes: 0 success; 1 usage error or malformed input; 2 input that is
 well-formed but outside a route's hypotheses; 3 a verification sweep hit
-a counterexample.  All output is exact: integers bare, rationals "p/q".
+a counterexample, or a computed count came out non-integral or negative
+(an `error:` line on stderr names the value).  All output is exact:
+integers bare, rationals "p/q".
 
 A reader that closes stdout early (`sc7core table --max 3000 | head -2`)
 ends the command quietly with exit code 0: the rest of the output is
@@ -23,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .arith import HypothesisViolation, is_fundamental
+from .arith import HypothesisViolation, InexactCount, is_fundamental
 from .eisenstein import (
     closed_rep_count,
     discriminant_of,
@@ -34,7 +36,7 @@ from .eisenstein import (
 from .partitions import sc_count
 from .qseries import SC7_ETA_QUOTIENT, eta_quotient_series, format_coefficient, sc_series
 from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_scaled, reduced_forms
-from .ternary import DECOMPOSITION_FORMS, DECOMPOSITION_WEIGHTS, sc7_from_thetas, theta_coeffs
+from .ternary import DECOMPOSITION_FORMS, sc7_from_reps, sc7_from_thetas, theta_coeffs
 
 ROUTES = ("enum", "qseries", "eta", "theta", "theorem", "cor2")
 
@@ -95,7 +97,7 @@ def record_for(n: int, route: str, caches: Optional[dict] = None) -> OutputRecor
         if thetas is None:
             value = sc7_from_thetas(n)
         else:
-            value = sum(w * t[n + 2] for w, t in zip(DECOMPOSITION_WEIGHTS, thetas))
+            value = sc7_from_reps([t[n + 2] for t in thetas])
     elif route == "theorem":
         value = sc7_from_class_number(n)
         d = discriminant_of(n)
@@ -134,6 +136,18 @@ def _positive(text: str) -> int:
     return value
 
 
+def _series_tables(precs: dict) -> dict:
+    """Build each series named in `precs` once, at the given precision:
+    "qseries" and "eta" as one series each, "theta" as a list of the
+    three decomposition forms' theta series."""
+    builders = {
+        "qseries": lambda prec: sc_series(7, prec),
+        "eta": lambda prec: eta_quotient_series(SC7_ETA_QUOTIENT, prec),
+        "theta": lambda prec: [theta_coeffs(Q, prec) for Q in DECOMPOSITION_FORMS],
+    }
+    return {name: builders[name](prec) for name, prec in precs.items()}
+
+
 def cmd_sc7(args) -> int:
     print(record_for(args.n, args.route).json_line())
     return 0
@@ -145,30 +159,25 @@ def cmd_table(args) -> int:
         if route not in ROUTES:
             raise ValueError(f"unknown route {route!r}; valid routes: {', '.join(ROUTES)}")
     limit = args.max
-    caches: dict = {}
-    if "qseries" in routes:
-        caches["qseries"] = sc_series(7, limit + 1)
-    if "eta" in routes:
-        caches["eta"] = eta_quotient_series(SC7_ETA_QUOTIENT, limit + 3)
-    if "theta" in routes:
-        caches["theta"] = [theta_coeffs(Q, limit + 3) for Q in DECOMPOSITION_FORMS]
+    precs = {"qseries": limit + 1, "eta": limit + 3, "theta": limit + 3}
+    caches = _series_tables({r: precs[r] for r in routes if r in precs})
 
-    records = []
+    as_json = args.format == "json"
+    if not as_json:
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(CSV_HEADER)
+    # Rows go out as they are computed, so a reader that stops early
+    # stops the work too.
     for n in range(limit + 1):
         for route in routes:
             try:
-                records.append(record_for(n, route, caches))
+                rec = record_for(n, route, caches)
             except HypothesisViolation:
                 continue  # cell outside this route's hypotheses
-
-    if args.format == "json":
-        for rec in records:
-            print(rec.json_line())
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for rec in records:
-            writer.writerow(rec.csv_row())
+            if as_json:
+                print(rec.json_line())
+            else:
+                writer.writerow(rec.csv_row())
     return 0
 
 
@@ -185,30 +194,29 @@ def cmd_hurwitz(args) -> int:
 
 # ---------------------------------------------------------------------------
 # verification sweeps
+#
+# Each runner takes its sweep bound and the series tables of cmd_verify,
+# which are built once per run at the largest precision any selected
+# check needs; a runner reads only the entries its own bound covers.
 
-def _sc7_theta_value(thetas, n):
-    return sum(w * t[n + 2] for w, t in zip(DECOMPOSITION_WEIGHTS, thetas))
-
-
-def _check_route_equivalence(limit: int):
+def _check_route_equivalence(limit: int, tables: dict):
     """Every route against the q-series on its own domain: eta everywhere,
     theta to 498, enumeration to 300, the class-number routes over odd n
     away from 5 mod 7."""
-    qs = sc_series(7, limit + 1)
+    qs = tables["qseries"]
     cases = 0
 
-    eta = eta_quotient_series(SC7_ETA_QUOTIENT, limit + 3)
+    eta = tables["eta"]
     for n in range(limit + 1):
         if eta[n + 2] != qs[n]:
             return cases, f"n={n} lhs=eta:{eta[n + 2]} rhs=qseries:{qs[n]}"
         cases += 1
 
-    tmax = min(limit, 498)
-    thetas = [theta_coeffs(Q, tmax + 3) for Q in DECOMPOSITION_FORMS]
-    for n in range(tmax + 1):
-        value = _sc7_theta_value(thetas, n)
+    thetas = tables["theta"]
+    for n in range(min(limit, 498) + 1):
+        value = sc7_from_reps([t[n + 2] for t in thetas])
         if value != qs[n]:
-            return cases, f"n={n} lhs=theta:{format_coefficient(value)} rhs=qseries:{qs[n]}"
+            return cases, f"n={n} lhs=theta:{value} rhs=qseries:{qs[n]}"
         cases += 1
 
     for n in range(min(limit, 300) + 1):
@@ -238,8 +246,8 @@ def _check_route_equivalence(limit: int):
     return cases, None
 
 
-def _check_vanishing(limit: int):
-    qs = sc_series(7, limit + 1)
+def _check_vanishing(limit: int, tables: dict):
+    qs = tables["qseries"]
     cases = 0
     for n in range(7, limit + 1, 8):
         if qs[n] != 0:
@@ -248,20 +256,19 @@ def _check_vanishing(limit: int):
     return cases, None
 
 
-def _check_theta_identity(limit: int):
-    qs = sc_series(7, limit + 1)
-    thetas = [theta_coeffs(Q, limit + 3) for Q in DECOMPOSITION_FORMS]
+def _check_theta_identity(limit: int, tables: dict):
+    qs, thetas = tables["qseries"], tables["theta"]
     cases = 0
     for n in range(limit + 1):
-        value = _sc7_theta_value(thetas, n)
+        value = sc7_from_reps([t[n + 2] for t in thetas])
         if value != qs[n]:
-            return cases, f"n={n} lhs=theta:{format_coefficient(value)} rhs=qseries:{qs[n]}"
+            return cases, f"n={n} lhs=theta:{value} rhs=qseries:{qs[n]}"
         cases += 1
     return cases, None
 
 
-def _check_closed_r_tables(limit: int):
-    thetas = [theta_coeffs(Q, limit + 1) for Q in DECOMPOSITION_FORMS]
+def _check_closed_r_tables(limit: int, tables: dict):
+    thetas = tables["theta"]
     cases = 0
     for m in range(3, limit + 1, 2):
         if m % 7 == 0:
@@ -276,8 +283,8 @@ def _check_closed_r_tables(limit: int):
     return cases, None
 
 
-def _check_g_basis(limit: int):
-    thetas = [theta_coeffs(Q, limit + 1) for Q in DECOMPOSITION_FORMS]
+def _check_g_basis(limit: int, tables: dict):
+    thetas = tables["theta"]
     cases = 0
     for m in range(1, limit + 1, 2):
         if math.gcd(m, 14) != 1:
@@ -292,7 +299,7 @@ def _check_g_basis(limit: int):
     return cases, None
 
 
-def _check_cohen_scaling(limit: int):
+def _check_cohen_scaling(limit: int, tables: dict):
     cases = 0
     for D in range(3, limit + 1):
         if not is_fundamental(-D):
@@ -307,7 +314,7 @@ def _check_cohen_scaling(limit: int):
     return cases, None
 
 
-def _check_dirichlet_vs_forms(limit: int):
+def _check_dirichlet_vs_forms(limit: int, tables: dict):
     cases = 0
     for D in range(3, limit + 1):
         if not is_fundamental(-D):
@@ -321,15 +328,18 @@ def _check_dirichlet_vs_forms(limit: int):
     return cases, None
 
 
-# name -> (default sweep bound, runner)
+# name -> (default sweep bound, runner, precision of each series table the
+# runner reads at a given bound)
 CHECKS = {
-    "route-equivalence": (2000, _check_route_equivalence),
-    "vanishing-7mod8": (2000, _check_vanishing),
-    "theta-identity": (498, _check_theta_identity),
-    "closed-R-tables": (301, _check_closed_r_tables),
-    "g-basis": (301, _check_g_basis),
-    "cohen-scaling": (500, _check_cohen_scaling),
-    "dirichlet-vs-forms": (2000, _check_dirichlet_vs_forms),
+    "route-equivalence": (2000, _check_route_equivalence,
+                          lambda n: {"qseries": n + 1, "eta": n + 3, "theta": min(n, 498) + 3}),
+    "vanishing-7mod8": (2000, _check_vanishing, lambda n: {"qseries": n + 1}),
+    "theta-identity": (498, _check_theta_identity,
+                       lambda n: {"qseries": n + 1, "theta": n + 3}),
+    "closed-R-tables": (301, _check_closed_r_tables, lambda n: {"theta": n + 1}),
+    "g-basis": (301, _check_g_basis, lambda n: {"theta": n + 1}),
+    "cohen-scaling": (500, _check_cohen_scaling, lambda n: {}),
+    "dirichlet-vs-forms": (2000, _check_dirichlet_vs_forms, lambda n: {}),
 }
 
 
@@ -342,10 +352,14 @@ def cmd_verify(args) -> int:
         print(f"error: unknown check {args.check!r}; valid checks: "
               f"{', '.join(CHECKS)}, all", file=sys.stderr)
         return 1
+    limits = {name: args.max if args.max is not None else CHECKS[name][0] for name in names}
+    precs: dict = {}
     for name in names:
-        default_max, runner = CHECKS[name]
-        limit = args.max if args.max is not None else default_max
-        cases, failure = runner(limit)
+        for series, prec in CHECKS[name][2](limits[name]).items():
+            precs[series] = max(precs.get(series, 0), prec)
+    tables = _series_tables(precs)
+    for name in names:
+        cases, failure = CHECKS[name][1](limits[name], tables)
         if failure is not None:
             print(f"FAIL {name}: {failure}")
             return 3
@@ -408,6 +422,9 @@ def main(argv=None) -> int:
     except HypothesisViolation as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except InexactCount as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

