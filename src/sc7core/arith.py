@@ -140,6 +140,19 @@ def kronecker(D: int, n: int) -> int:
     return result
 
 
+def smallest_prime_factors(limit: int) -> list[int]:
+    """Smallest prime factor of every m = 0..limit (0 and 1 map to themselves).
+
+    Each i <= sqrt(limit), largest first, stamps its multiples from i^2 on
+    with one slice assignment; a smaller divisor stamps later, so the
+    smallest prime factor of a composite is the last word.
+    """
+    spf = list(range(limit + 1))
+    for i in range(isqrt(limit), 1, -1):
+        spf[i * i::i] = [i] * len(range(i * i, limit + 1, i))
+    return spf
+
+
 def kronecker_row(D: int, limit: int) -> list[int]:
     """All values chi_D(m) for m = 0..limit via a smallest-prime-factor sieve.
 
@@ -152,12 +165,7 @@ def kronecker_row(D: int, limit: int) -> list[int]:
     chi = [0] * (limit + 1)
     if limit >= 1:
         chi[1] = 1
-    spf = list(range(limit + 1))
-    for i in range(2, isqrt(limit) + 1):
-        if spf[i] == i:
-            for j in range(i * i, limit + 1, i):
-                if spf[j] == j:
-                    spf[j] = i
+    spf = smallest_prime_factors(limit)
     sym = {}
     for m in range(2, limit + 1):
         p = spf[m]

@@ -31,6 +31,7 @@ from .eisenstein import (
     discriminant_of,
     sc7_from_character_sum,
     sc7_from_class_number,
+    theorem_discriminant,
     theta_from_eisenstein,
 )
 from .partitions import sc_count
@@ -46,11 +47,11 @@ CSV_HEADER = ["n", "route", "value", "D_n", "H"]
 class OutputRecord(NamedTuple):
     n: int
     route: str
-    value: object  # int or Fraction
+    value: int
     extras: dict
 
     def json_line(self) -> str:
-        rec = {"n": self.n, "route": self.route, "value": _json_value(self.value)}
+        rec = {"n": self.n, "route": self.route, "value": self.value}
         for key, val in self.extras.items():
             rec[key] = _json_value(val)
         return json.dumps(rec)
@@ -59,7 +60,7 @@ class OutputRecord(NamedTuple):
         return [
             str(self.n),
             self.route,
-            format_coefficient(self.value),
+            str(self.value),
             str(self.extras["D_n"]) if "D_n" in self.extras else "",
             format_coefficient(self.extras["H"]) if "H" in self.extras else "",
         ]
@@ -69,12 +70,6 @@ def _json_value(v):
     """Integers as JSON numbers, non-integral rationals as "p/q" strings."""
     if isinstance(v, Fraction):
         return v.numerator if v.denominator == 1 else format_coefficient(v)
-    return v
-
-
-def _exactify(v):
-    if isinstance(v, Fraction) and v.denominator == 1:
-        return int(v)
     return v
 
 
@@ -99,16 +94,17 @@ def record_for(n: int, route: str, caches: Optional[dict] = None) -> OutputRecor
         else:
             value = sc7_from_reps([t[n + 2] for t in thetas])
     elif route == "theorem":
-        value = sc7_from_class_number(n)
-        d = discriminant_of(n)
-        extras = {"D_n": d.D, "H": hurwitz(d.D)}
+        d = theorem_discriminant(n)
+        H = hurwitz(d.D)
+        value = sc7_from_class_number(n, H)
+        extras = {"D_n": d.D, "H": H}
     elif route == "cor2":
         value = sc7_from_character_sum(n)
         d = discriminant_of(n)
         extras = {"D_n": d.D, "H": hurwitz(d.D)}
     else:
         raise ValueError(f"unknown route {route!r}; valid routes: {', '.join(ROUTES)}")
-    return OutputRecord(n, route, _exactify(value), extras)
+    return OutputRecord(n, route, value, extras)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from .arith import (
     HypothesisViolation,
+    InexactCount,
     divisors,
     is_fundamental,
     is_prime,
@@ -210,7 +211,9 @@ def discriminant_of(n: int) -> Discriminant:
     return Discriminant(n)
 
 
-def _check_sc7_hypotheses(n: int) -> Discriminant:
+def theorem_discriminant(n: int) -> Discriminant:
+    """D_n for an odd n where the class-number expressions apply, that is
+    n != 5 mod 7; raises HypothesisViolation anywhere else."""
     d = Discriminant(n)
     if n % 7 == 5:
         raise HypothesisViolation(
@@ -220,20 +223,35 @@ def _check_sc7_hypotheses(n: int) -> Discriminant:
     return d
 
 
-def sc7_from_class_number(n: int) -> Fraction:
-    """Self-conjugate 7-core count of odd n (n != 5 mod 7) via H(-D):
+def _exact_count(value: Fraction, what: str) -> int:
+    """value as an int; raises InexactCount unless it is a non-negative
+    integer, so a wrong class number can never pass as a count."""
+    if value.denominator != 1 or value < 0:
+        raise InexactCount(f"{what} gives {value}")
+    return int(value)
+
+
+def sc7_from_class_number(n: int, H: Fraction | None = None) -> int:
+    """Self-conjugate 7-core count of odd n (n != 5 mod 7) via H(-D_n):
 
         n = 1 mod 4:  H(-D_n) / 4
         n = 3 mod 8:  H(-D_n) / 2
         n = 7 mod 8:  0
+
+    H, when given, is taken as H(-D_n), so a caller that also reports
+    the class number computes it once; the vanishing case never reads it.
+    Raises InexactCount unless the count is a non-negative integer.
     """
-    d = _check_sc7_hypotheses(n)
+    d = theorem_discriminant(n)
     if n % 8 == 7:
-        return Fraction(0)
-    return hurwitz(d.D) / (4 if n % 4 == 1 else 2)
+        return 0
+    if H is None:
+        H = hurwitz(d.D)
+    k = 4 if n % 4 == 1 else 2
+    return _exact_count(H / k, f"class number route at n={n} with H(-{d.D}) = {H}")
 
 
-def sc7_from_character_sum(n: int) -> Fraction:
+def sc7_from_character_sum(n: int) -> int:
     """Same count through the Dirichlet character sum, for fundamental -D_n:
 
         -(1/(4 D_n)) * sum_{m=1}^{D_n} chi(m) m   (n = 1 mod 4)
@@ -241,25 +259,29 @@ def sc7_from_character_sum(n: int) -> Fraction:
         0                                         (n = 7 mod 8)
 
     The vanishing case needs no sum and no fundamentality, so it is
-    answered before the fundamentality check.
+    answered before the fundamentality check.  Raises InexactCount unless
+    the count is a non-negative integer.
     """
-    d = _check_sc7_hypotheses(n)
+    d = theorem_discriminant(n)
     if n % 8 == 7:
-        return Fraction(0)
+        return 0
     if not is_fundamental(-d.D):
         raise HypothesisViolation(f"-{d.D} is not a fundamental discriminant (n={n})")
     chi = kronecker_row(-d.D, d.D)
     s = sum(m * v for m, v in enumerate(chi) if v)
-    return Fraction(-s, (4 if n % 4 == 1 else 2) * d.D)
+    return _exact_count(Fraction(-s, (4 if n % 4 == 1 else 2) * d.D),
+                        f"character sum route at n={n}")
 
 
-def sc7_scaled(n: int, f: int) -> Fraction:
+def sc7_scaled(n: int, f: int) -> int:
     """sc7((n+2) f^2 - 2) from sc7(n), for odd f coprime to 7 and
     fundamental -D_n:
 
         sc7(n) * sum_{d | f} mu(d) chi_{-D_n}(d) sigma1(f/d)
+
+    Raises InexactCount unless the count is a non-negative integer.
     """
-    d = _check_sc7_hypotheses(n)
+    d = theorem_discriminant(n)
     if f < 1 or f % 2 == 0:
         raise HypothesisViolation(f"need a positive odd scaling factor, got f={f}")
     if f % 7 == 0:
@@ -268,4 +290,4 @@ def sc7_scaled(n: int, f: int) -> Fraction:
         raise HypothesisViolation(f"-{d.D} is not a fundamental discriminant (n={n})")
     base = sc7_from_class_number(n)
     mult = sum(mobius(t) * kronecker(-d.D, t) * sigma1(f // t) for t in divisors(f))
-    return base * mult
+    return _exact_count(base * mult, f"scaled class number route at n={n}, f={f}")

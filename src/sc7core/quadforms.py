@@ -6,11 +6,25 @@ multiples of X^2 + XY + Y^2; its denominator always divides 6.  Two
 independent evaluations are provided: direct reduced-form enumeration and
 the Dirichlet character-sum class number formula, plus the multiplicative
 scaling to non-fundamental levels.
+
+`reduced_forms(D)` lists, for each a <= sqrt(D/3), only the b with
+b^2 = -D mod 4a: the square roots of -D mod each prime power of 4a, from
+Tonelli-Shanks and Hensel lifting (or by trying every residue for 2 and
+for primes dividing D), joined by the Chinese remainder theorem.  This is
+the output-sensitive enumeration of Cohen, A Course in Computational
+Algebraic Number Theory (GTM 138), section 5.3; it is exact and needs no
+GRH.  It costs O(sqrt(D) log D) steps plus one per candidate root,
+against the D/3 steps of trying all 2a values of b for every a.  On one
+core of a 2-vCPU VM (Python 3.11) it takes about 4 ms at D = 2.8e6,
+15 ms at D = 2.8e7 and 40-50 ms at D = 2.8e8 (the theorem route at
+n = 10^7); below D of about 3000 its cost per a makes it up to twice as
+slow as the scan, at tens of microseconds per call.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import isqrt
 from typing import NamedTuple
 
 from .arith import (
@@ -21,6 +35,7 @@ from .arith import (
     mobius,
     divisors,
     sigma1,
+    smallest_prime_factors,
     unit_count,
 )
 
@@ -51,6 +66,43 @@ def _check_discriminant(D: int) -> None:
         )
 
 
+def _sqrt_mod_prime(n: int, p: int) -> int:
+    """A square root of n mod the odd prime p, for n a nonzero quadratic
+    residue mod p (Tonelli-Shanks)."""
+    q, s = p - 1, 0
+    while q % 2 == 0:
+        q //= 2
+        s += 1
+    if s == 1:
+        return pow(n, (p + 1) // 4, p)
+    z = 2
+    while pow(z, (p - 1) // 2, p) != p - 1:
+        z += 1
+    m, c, t, r = s, pow(z, q, p), pow(n, q, p), pow(n, (q + 1) // 2, p)
+    while t != 1:
+        i, t2 = 0, t
+        while t2 != 1:  # least i with t^(2^i) = 1
+            t2 = t2 * t2 % p
+            i += 1
+        b = pow(c, 1 << (m - i - 1), p)
+        m, c, t, r = i, b * b % p, t * b * b % p, r * b % p
+    return r
+
+
+def _roots_mod_prime_power(D: int, p: int, q: int) -> list[int]:
+    """All x in [0, q) with x^2 = -D mod q, for q a power of the prime p."""
+    if p == 2 or D % p == 0:
+        return [x for x in range(q) if (x * x + D) % q == 0]
+    n = -D % p
+    if pow(n, (p - 1) // 2, p) != 1:
+        return []
+    x, pj = _sqrt_mod_prime(n, p), p
+    while pj < q:  # Hensel: 2x is a unit mod p, so each root lifts uniquely
+        pj *= p
+        x = (x - (x * x + D) * pow(2 * x, -1, pj)) % pj
+    return [x, q - x]
+
+
 def reduced_forms(D: int) -> list[BinaryQF]:
     """All reduced forms of discriminant -D, sorted lexicographically.
 
@@ -58,32 +110,58 @@ def reduced_forms(D: int) -> list[BinaryQF]:
     a = c.  Exactly one representative per proper equivalence class;
     imprimitive forms included.  The inequalities force 3a^2 <= 4ac - b^2
     = D, which bounds the sweep over a.
+
+    For each a the candidates b are the square roots of -D mod 4a, listed
+    directly instead of tested one by one.  With a = 2^v * a' (a' odd),
+    4a = 2^(v+2) * a' and a' is factored with one smallest-prime-factor
+    sieve up to sqrt(D/3).  The roots mod each prime power p^k come from
+    Tonelli-Shanks and Hensel lifting for odd p not dividing D, and from
+    trying every residue for p = 2 and for p | D; each p^k is solved once
+    per call.  The Chinese remainder theorem joins them into the roots
+    mod 4a, and since b^2 mod 4a has period 2a in b, the roots in [0, 2a)
+    mapped into (-a, a] are the b of that a.  Cost: O(sqrt(D) log D)
+    steps plus one per candidate root.
     """
     _check_discriminant(D)
+    amax = isqrt(D // 3)
+    spf = smallest_prime_factors(amax)
+    roots: dict = {}  # prime power q -> roots mod q
     out = []
-    a = 1
-    while 3 * a * a <= D:
-        for b in range(-a + 1, a + 1):
-            num = b * b + D
-            if num % (4 * a) == 0:
-                c = num // (4 * a)
-                if c >= a and not (a == c and b < 0):
-                    out.append(BinaryQF(a, b, c))
-        a += 1
-    return sorted(out)
+    for a in range(1, amax + 1):
+        v = (a & -a).bit_length() - 1
+        modulus, rest = 4 << v, a >> v
+        xs = roots.get(modulus)
+        if xs is None:
+            xs = roots[modulus] = _roots_mod_prime_power(D, 2, modulus)
+        while rest > 1 and xs:
+            p = q = spf[rest]
+            rest //= p
+            while rest % p == 0:
+                rest //= p
+                q *= p
+            ys = roots.get(q)
+            if ys is None:
+                ys = roots[q] = _roots_mod_prime_power(D, p, q)
+            inv = pow(modulus, -1, q)
+            xs = [x + modulus * ((y - x) * inv % q) for x in xs for y in ys]
+            modulus *= q
+        two_a = 2 * a
+        bs = [x if x <= a else x - two_a for x in xs if x < two_a]
+        bs.sort()
+        for b in bs:
+            c = (b * b + D) // (4 * a)
+            if c >= a and not (a == c and b < 0):
+                out.append(BinaryQF(a, b, c))
+    return out
 
 
 def hurwitz(D: int) -> Fraction:
-    """Hurwitz class number H(-D) by weighted reduced-form count."""
-    total = Fraction(0)
-    for f in reduced_forms(D):
-        if f.b == 0 and f.a == f.c:
-            total += Fraction(1, 2)
-        elif f.a == f.b == f.c:
-            total += Fraction(1, 3)
-        else:
-            total += 1
-    return total
+    """Hurwitz class number H(-D) by weighted reduced-form count: weight
+    1/2 for (a, 0, a), 1/3 for (a, a, a), 1 for every other form."""
+    forms = reduced_forms(D)
+    halves = sum(1 for f in forms if f.b == 0 and f.a == f.c)
+    thirds = sum(1 for f in forms if f.a == f.b == f.c)
+    return Fraction(6 * len(forms) - 3 * halves - 4 * thirds, 6)
 
 
 def hurwitz_adjusted(N: int) -> Fraction:

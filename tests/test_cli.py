@@ -270,3 +270,63 @@ def test_table_streams_rows(monkeypatch):
     with pytest.raises(BrokenPipeError):
         args.func(args)
     assert len(cells) == 1  # of 802
+
+
+def test_class_number_route_rejects_a_non_integral_count(monkeypatch, capsys):
+    # H = 1/3 gives sc7(9) = 1/12: exit 3 with an error line, never a count
+    from fractions import Fraction
+
+    from sc7core import eisenstein
+
+    for module in (cli, eisenstein):
+        monkeypatch.setattr(module, "hurwitz", lambda D: Fraction(1, 3))
+    for argv in (["sc7", "9", "--route", "theorem"],
+                 ["table", "--max", "20", "--routes", "theorem"],
+                 ["verify", "--check", "route-equivalence", "--max", "20"]):
+        assert cli.main(argv) == 3, argv
+        out, err = capsys.readouterr()
+        assert "1/12" not in out
+        assert err.startswith("error: class number route at n=") and "1/12" in err
+
+
+def test_theorem_row_computes_the_class_number_once(monkeypatch):
+    from sc7core import eisenstein
+
+    calls = []
+    real = cli.hurwitz
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    for module in (cli, eisenstein):
+        monkeypatch.setattr(module, "hurwitz", counted)
+    for n in (9, 11, 15):  # n = 1 mod 4, 3 mod 8, 7 mod 8
+        code, out = run_cli("sc7", str(n), "--route", "theorem")
+        assert code == 0 and json.loads(out)["D_n"] == calls[-1]
+    assert len(calls) == 3
+
+
+FAKE_CLASS_NUMBER = """
+import sys
+from fractions import Fraction
+from sc7core import cli, eisenstein
+print(sys.flags.optimize)
+cli.hurwitz = eisenstein.hurwitz = lambda D: Fraction(1, 3)
+sys.exit(cli.main(["sc7", "9", "--route", "theorem"]))
+"""
+
+
+def test_class_number_count_check_survives_optimize():
+    from pathlib import Path
+
+    import sc7core
+
+    src = str(Path(sc7core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-c", FAKE_CLASS_NUMBER],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.stdout == "1\n"  # assert statements are stripped in this run
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: class number route at n=9")

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from sc7core.arith import HypothesisViolation, is_fundamental
+from sc7core import eisenstein
+from sc7core.arith import HypothesisViolation, InexactCount, is_fundamental
 from sc7core.eisenstein import (
     Discriminant,
     TwoAdicConvention,
@@ -227,3 +228,33 @@ def test_sc7_scaled_rejects():
         sc7_scaled(25, 3)  # -756 not fundamental
     with pytest.raises(HypothesisViolation):
         sc7_scaled(19, 3)  # n = 5 mod 7
+
+
+def test_class_number_routes_return_int():
+    for n in (1, 3, 7, 9, 11, 13, 2923):
+        assert type(sc7_from_class_number(n)) is int
+    for n in (7, 9, 11):
+        assert type(sc7_from_character_sum(n)) is int
+    assert type(sc7_scaled(11, 15)) is int
+
+
+def test_class_number_routes_reject_inexact_counts(monkeypatch):
+    # each route raises, not returns, a count that is non-integral or negative
+    monkeypatch.setattr(eisenstein, "hurwitz", lambda D: Fraction(1, 3))
+    with pytest.raises(InexactCount, match="gives 1/12"):
+        sc7_from_class_number(9)
+    assert sc7_from_class_number(7) == 0  # the vanishing case reads no H
+    with pytest.raises(InexactCount):
+        sc7_from_class_number(11, Fraction(-2))
+    monkeypatch.undo()
+
+    # a character row with only chi(1) = 1 makes the sum -1/(4 D_n)
+    monkeypatch.setattr(eisenstein, "kronecker_row", lambda D, limit: [0, 1] + [0] * (limit - 1))
+    with pytest.raises(InexactCount, match="gives -1/1232"):
+        sc7_from_character_sum(9)
+    monkeypatch.undo()
+
+    # sigma1(m) -> -m turns the scaling factor negative
+    monkeypatch.setattr(eisenstein, "sigma1", lambda m: -m)
+    with pytest.raises(InexactCount):
+        sc7_scaled(11, 3)

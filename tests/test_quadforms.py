@@ -7,6 +7,7 @@ import pytest
 from sc7core.arith import HypothesisViolation, divisors, is_fundamental
 from sc7core.quadforms import (
     BinaryQF,
+    _sqrt_mod_prime,
     dirichlet_hurwitz,
     hurwitz,
     hurwitz_adjusted,
@@ -25,6 +26,80 @@ def test_binary_qf():
     assert f(1, 0) == 2 and f(0, 1) == 39 and f(1, -1) == 39
     assert not BinaryQF(-1, 0, 1).is_positive_definite()
     assert not BinaryQF(1, 3, 1).is_positive_definite()
+
+
+def _ref_reduced_forms(D):
+    """The scan that reduced_forms replaced: try every b in (-a, a] for
+    every a <= sqrt(D/3).  About D/3 steps; a test oracle only."""
+    out = []
+    a = 1
+    while 3 * a * a <= D:
+        for b in range(-a + 1, a + 1):
+            num = b * b + D
+            if num % (4 * a) == 0:
+                c = num // (4 * a)
+                if c >= a and not (a == c and b < 0):
+                    out.append(BinaryQF(a, b, c))
+        a += 1
+    return sorted(out)
+
+
+# D that send reduced_forms down each of its branches:
+BRANCH_D = (
+    # high powers of 2 in D, and D = 7 mod 8, where -D has roots mod
+    # every power of 2
+    2**20, 3 * 2**16, 7 * 2**15, 4 * 2**11 * 5, 2**17 - 1,
+    # odd p with p^2 | D, so the roots mod p^k are found by trying residues
+    9 * 49 * 3, 7**3, 7**3 * 5, 3**9, 5**4 * 3 * 4, 3**4 * 7**3 * 4, 11**4 * 3,
+    # -D a residue mod p = 1 mod 8 whose Tonelli-Shanks run takes the most
+    # rounds (s = 4, 3, 5, 8): p = 17, 41, 97, 257 alone, then all four
+    875, 5048, 28235, 198156, 199463,
+    # the edges and a theorem-route discriminant
+    3, 4, 2800056,
+)
+
+
+def test_reduced_forms_matches_reference_below_3000():
+    for D in range(3, 3000):
+        if D % 4 in (0, 3):
+            assert reduced_forms(D) == _ref_reduced_forms(D), D
+
+
+def test_reduced_forms_matches_reference_on_each_branch():
+    for D in BRANCH_D:
+        assert reduced_forms(D) == _ref_reduced_forms(D), D
+
+
+def test_sqrt_mod_prime():
+    for p in (3, 5, 7, 13, 17, 41, 97, 257):
+        residues = {x * x % p for x in range(1, p)}
+        for n in residues:
+            r = _sqrt_mod_prime(n, p)
+            assert 0 <= r < p and r * r % p == n, (n, p)
+
+
+def test_reduced_forms_matches_reference_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+    @hypothesis.given(st.integers(3, 200000).filter(lambda D: D % 4 in (0, 3)))
+    def check(D):
+        assert reduced_forms(D) == _ref_reduced_forms(D)
+
+    check()
+
+
+def test_dirichlet_matches_forms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+    @hypothesis.given(st.integers(3, 30000).filter(lambda D: is_fundamental(-D)))
+    def check(D):
+        assert dirichlet_hurwitz(D) == hurwitz(D)
+
+    check()
 
 
 def test_reduced_forms_308():
