@@ -5,7 +5,7 @@ number formulas.  Everything is integer or Fraction arithmetic; nothing
 here ever rounds.
 """
 
-from .arith import HypothesisViolation, Rational, is_fundamental, kronecker, kronecker_row
+from .arith import HypothesisViolation, is_fundamental, kronecker, kronecker_row
 from .eisenstein import (
     Discriminant,
     TwoAdicConvention,
@@ -42,7 +42,6 @@ __all__ = [
     "EtaQuotientSpec",
     "HypothesisViolation",
     "QSeries",
-    "Rational",
     "SC7_ETA_QUOTIENT",
     "TernaryQF",
     "TwoAdicConvention",

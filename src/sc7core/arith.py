@@ -7,12 +7,8 @@ point anywhere in this package.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import isqrt
 from typing import NamedTuple
-
-# Exact rational type used throughout: always reduced, denominator > 0.
-Rational = Fraction
 
 
 class HypothesisViolation(ValueError):

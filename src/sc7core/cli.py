@@ -3,11 +3,18 @@
 Subcommands: sc7 (one count, chosen route), table (batch CSV/JSON),
 verify (cross-validation sweeps), forms and hurwitz (class-number data).
 
-Exit codes: 0 success; 1 usage error or malformed input; 2 input that is
-well-formed but outside a route's hypotheses; 3 a verification sweep hit
-a counterexample, or a computed count came out non-integral or negative
-(an `error:` line on stderr names the value).  All output is exact:
-integers bare, rationals "p/q".
+One registry, ROUTES, describes the routes: how each builds a table for
+every n <= N (qseries, eta, theta), reads one count from it, and answers
+a single n.  `sc7`, `table` and `verify` all go through it.  Each verify
+check in CHECKS yields its comparisons (n, (label, lhs), (label, rhs));
+one sweep loop counts them and stops at the first mismatch.
+
+Exit codes: 0 success; 1 usage error, malformed input, or a query too
+large for the chosen route; 2 input that is well-formed but outside a
+route's hypotheses; 3 a verification sweep hit a counterexample, or a
+computed count came out non-integral or negative (an `error:` line on
+stderr names the value).  All output is exact: integers bare, rationals
+"p/q".
 
 A reader that closes stdout early (`sc7core table --max 3000 | head -2`)
 ends the command quietly with exit code 0: the rest of the output is
@@ -23,7 +30,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .arith import HypothesisViolation, InexactCount, is_fundamental
 from .eisenstein import (
@@ -38,8 +45,6 @@ from .partitions import sc_count
 from .qseries import SC7_ETA_QUOTIENT, eta_quotient_series, format_coefficient, sc_series
 from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_scaled, reduced_forms
 from .ternary import DECOMPOSITION_FORMS, sc7_from_reps, sc7_from_thetas, theta_coeffs
-
-ROUTES = ("enum", "qseries", "eta", "theta", "theorem", "cor2")
 
 CSV_HEADER = ["n", "route", "value", "D_n", "H"]
 
@@ -73,38 +78,83 @@ def _json_value(v):
     return v
 
 
+class Route(NamedTuple):
+    """One way to compute sc7(n).  table(N) builds, once, what the route
+    shares between all n <= N (None: each n stands alone), and
+    read(table, n) takes the count at n from it (from None, it computes
+    the count for that n alone).  single(n) gives (count, extras) for one
+    n where a route reports extras or has a faster path for one n than
+    building a table; without it, one n reads a table built to N = n.
+
+    Entries call the library through this module's names at call time,
+    so patching `cli.sc_series` (say) reaches them.
+    """
+
+    read: Callable[[object, int], int]
+    table: Optional[Callable[[int], object]] = None
+    single: Optional[Callable[[int], tuple]] = None
+
+
+# kronecker_row(-D, D) takes about 54 bytes per unit of D (166 MB at
+# D = 2.8e6, 1.5 GB at 2.8e7), so the cor2 route refuses a larger D_n.
+COR2_MAX_D = 3 * 10**7
+
+
+def _cor2_count(n: int) -> int:
+    d = theorem_discriminant(n)
+    # Only a character sum the route would really build is refused; every
+    # other answer (0 at 7 mod 8, a non-fundamental -D_n) stays as it is.
+    if n % 8 != 7 and d.D > COR2_MAX_D and is_fundamental(-d.D):
+        raise ValueError(f"cor2 needs a character row of length D_n = {d.D} at n={n}, "
+                         f"above its limit {COR2_MAX_D}; use --route theorem")
+    return sc7_from_character_sum(n)
+
+
+def _theorem_single(n: int) -> tuple:
+    # theorem_discriminant first, so no H is computed outside the domain
+    d = theorem_discriminant(n)
+    H = hurwitz(d.D)
+    return sc7_from_class_number(n, H), {"D_n": d.D, "H": H}
+
+
+def _cor2_single(n: int) -> tuple:
+    value = _cor2_count(n)
+    d = discriminant_of(n)
+    return value, {"D_n": d.D, "H": hurwitz(d.D)}
+
+
+ROUTES = {
+    "enum": Route(read=lambda _, n: sc_count(n, 7)),
+    "qseries": Route(read=lambda series, n: series[n],
+                     table=lambda N: sc_series(7, N + 1)),
+    # the eta quotient carries sc7(n) at q^(n+2)
+    "eta": Route(read=lambda series, n: series[n + 2],
+                 table=lambda N: eta_quotient_series(SC7_ETA_QUOTIENT, N + 3)),
+    "theta": Route(read=lambda thetas, n: sc7_from_reps([t[n + 2] for t in thetas]),
+                   table=lambda N: [theta_coeffs(Q, N + 3) for Q in DECOMPOSITION_FORMS],
+                   single=lambda n: (sc7_from_thetas(n), {})),
+    "theorem": Route(read=lambda _, n: sc7_from_class_number(n), single=_theorem_single),
+    "cor2": Route(read=lambda _, n: _cor2_count(n), single=_cor2_single),
+}
+
+
+def _route(name: str) -> Route:
+    if name not in ROUTES:
+        raise ValueError(f"unknown route {name!r}; valid routes: {', '.join(ROUTES)}")
+    return ROUTES[name]
+
+
 def record_for(n: int, route: str, caches: Optional[dict] = None) -> OutputRecord:
-    """Evaluate one (n, route) cell.  Raises HypothesisViolation when the
-    route does not apply at n; table mode skips such cells, single mode
-    turns them into exit code 2."""
-    caches = caches or {}
-    extras: dict = {}
-    if route == "enum":
-        value = sc_count(n, 7)
-    elif route == "qseries":
-        series = caches.get("qseries") or sc_series(7, n + 1)
-        value = series[n]
-    elif route == "eta":
-        series = caches.get("eta") or eta_quotient_series(SC7_ETA_QUOTIENT, n + 3)
-        value = series[n + 2]
-    elif route == "theta":
-        thetas = caches.get("theta")
-        if thetas is None:
-            value = sc7_from_thetas(n)
-        else:
-            value = sc7_from_reps([t[n + 2] for t in thetas])
-    elif route == "theorem":
-        d = theorem_discriminant(n)
-        H = hurwitz(d.D)
-        value = sc7_from_class_number(n, H)
-        extras = {"D_n": d.D, "H": H}
-    elif route == "cor2":
-        value = sc7_from_character_sum(n)
-        d = discriminant_of(n)
-        extras = {"D_n": d.D, "H": hurwitz(d.D)}
-    else:
-        raise ValueError(f"unknown route {route!r}; valid routes: {', '.join(ROUTES)}")
-    return OutputRecord(n, route, value, extras)
+    """Evaluate one (n, route) cell, from caches[route] when the caller
+    built that route's table.  Raises HypothesisViolation when the route
+    does not apply at n; table mode skips such cells, single mode turns
+    them into exit code 2."""
+    r = _route(route)
+    if caches and route in caches:
+        return OutputRecord(n, route, r.read(caches[route], n), {})
+    if r.single:
+        return OutputRecord(n, route, *r.single(n))
+    return OutputRecord(n, route, r.read(r.table(n) if r.table else None, n), {})
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,18 +182,6 @@ def _positive(text: str) -> int:
     return value
 
 
-def _series_tables(precs: dict) -> dict:
-    """Build each series named in `precs` once, at the given precision:
-    "qseries" and "eta" as one series each, "theta" as a list of the
-    three decomposition forms' theta series."""
-    builders = {
-        "qseries": lambda prec: sc_series(7, prec),
-        "eta": lambda prec: eta_quotient_series(SC7_ETA_QUOTIENT, prec),
-        "theta": lambda prec: [theta_coeffs(Q, prec) for Q in DECOMPOSITION_FORMS],
-    }
-    return {name: builders[name](prec) for name, prec in precs.items()}
-
-
 def cmd_sc7(args) -> int:
     print(record_for(args.n, args.route).json_line())
     return 0
@@ -152,11 +190,9 @@ def cmd_sc7(args) -> int:
 def cmd_table(args) -> int:
     routes = args.routes.split(",")
     for route in routes:
-        if route not in ROUTES:
-            raise ValueError(f"unknown route {route!r}; valid routes: {', '.join(ROUTES)}")
+        _route(route)
     limit = args.max
-    precs = {"qseries": limit + 1, "eta": limit + 3, "theta": limit + 3}
-    caches = _series_tables({r: precs[r] for r in routes if r in precs})
+    caches = {r: ROUTES[r].table(limit) for r in dict.fromkeys(routes) if ROUTES[r].table}
 
     as_json = args.format == "json"
     if not as_json:
@@ -191,152 +227,97 @@ def cmd_hurwitz(args) -> int:
 # ---------------------------------------------------------------------------
 # verification sweeps
 #
-# Each runner takes its sweep bound and the series tables of cmd_verify,
-# which are built once per run at the largest precision any selected
-# check needs; a runner reads only the entries its own bound covers.
+# A check yields its comparisons (n, (label, lhs), (label, rhs)) lazily,
+# so a sweep that fails stops computing.  It reads the route tables of
+# cmd_verify, built once per run for the largest n any selected check
+# needs, and reads only the entries its own bound covers.
 
-def _check_route_equivalence(limit: int, tables: dict):
-    """Every route against the q-series on its own domain: eta everywhere,
-    theta to 498, enumeration to 300, the class-number routes over odd n
-    away from 5 mod 7."""
-    qs = tables["qseries"]
-    cases = 0
-
-    eta = tables["eta"]
+def _against_qseries(route: str, limit: int, tables: dict, keep=None):
+    read, table, qs = ROUTES[route].read, tables.get(route), tables["qseries"]
     for n in range(limit + 1):
-        if eta[n + 2] != qs[n]:
-            return cases, f"n={n} lhs=eta:{eta[n + 2]} rhs=qseries:{qs[n]}"
-        cases += 1
-
-    thetas = tables["theta"]
-    for n in range(min(limit, 498) + 1):
-        value = sc7_from_reps([t[n + 2] for t in thetas])
-        if value != qs[n]:
-            return cases, f"n={n} lhs=theta:{value} rhs=qseries:{qs[n]}"
-        cases += 1
-
-    for n in range(min(limit, 300) + 1):
-        value = sc_count(n, 7)
-        if value != qs[n]:
-            return cases, f"n={n} lhs=enum:{value} rhs=qseries:{qs[n]}"
-        cases += 1
-
-    for n in range(1, limit + 1, 2):
-        if n % 7 == 5:
-            continue
-        value = sc7_from_class_number(n)
-        if value != qs[n]:
-            return cases, f"n={n} lhs=theorem:{format_coefficient(value)} rhs=qseries:{qs[n]}"
-        cases += 1
-
-    for n in range(1, min(limit, 1000) + 1, 2):
-        if n % 7 == 5 or n % 8 == 7:
-            continue
-        if not is_fundamental(-discriminant_of(n).D):
-            continue
-        value = sc7_from_character_sum(n)
-        if value != qs[n]:
-            return cases, f"n={n} lhs=cor2:{format_coefficient(value)} rhs=qseries:{qs[n]}"
-        cases += 1
-
-    return cases, None
+        if keep is None or keep(n):
+            yield n, (route, read(table, n)), ("qseries", qs[n])
 
 
-def _check_vanishing(limit: int, tables: dict):
-    qs = tables["qseries"]
-    cases = 0
-    for n in range(7, limit + 1, 8):
-        if qs[n] != 0:
-            return cases, f"n={n} lhs=qseries:{qs[n]} rhs=0"
-        cases += 1
-    return cases, None
-
-
-def _check_theta_identity(limit: int, tables: dict):
-    qs, thetas = tables["qseries"], tables["theta"]
-    cases = 0
-    for n in range(limit + 1):
-        value = sc7_from_reps([t[n + 2] for t in thetas])
-        if value != qs[n]:
-            return cases, f"n={n} lhs=theta:{value} rhs=qseries:{qs[n]}"
-        cases += 1
-    return cases, None
-
-
-def _check_closed_r_tables(limit: int, tables: dict):
-    thetas = tables["theta"]
-    cases = 0
-    for m in range(3, limit + 1, 2):
-        if m % 7 == 0:
-            continue
-        for i in (1, 2, 3):
-            closed = closed_rep_count(i, m)
-            lattice = thetas[i - 1][m]
-            if closed != lattice:
-                return cases, (f"n={m} lhs=closed_rep_count({i}):{format_coefficient(closed)} "
-                               f"rhs=rep_count:{lattice}")
-            cases += 1
-    return cases, None
-
-
-def _check_g_basis(limit: int, tables: dict):
-    thetas = tables["theta"]
-    cases = 0
-    for m in range(1, limit + 1, 2):
-        if math.gcd(m, 14) != 1:
-            continue
-        for i in (1, 2, 3):
-            recon = theta_from_eisenstein(i, m)
-            lattice = thetas[i - 1][m]
-            if recon != lattice:
-                return cases, (f"n={m} lhs=theta_from_eisenstein({i}):{format_coefficient(recon)} "
-                               f"rhs=rep_count:{lattice}")
-            cases += 1
-    return cases, None
-
-
-def _check_cohen_scaling(limit: int, tables: dict):
-    cases = 0
-    for D in range(3, limit + 1):
-        if not is_fundamental(-D):
-            continue
-        for f in (1, 3, 5, 9, 11, 13, 15):
-            scaled = hurwitz_scaled(D, f)
-            direct = hurwitz(D * f * f)
-            if scaled != direct:
-                return cases, (f"n={D} lhs=hurwitz_scaled(f={f}):{format_coefficient(scaled)} "
-                               f"rhs=hurwitz:{format_coefficient(direct)}")
-            cases += 1
-    return cases, None
-
-
-def _check_dirichlet_vs_forms(limit: int, tables: dict):
-    cases = 0
-    for D in range(3, limit + 1):
-        if not is_fundamental(-D):
-            continue
-        via_sum = dirichlet_hurwitz(D)
-        via_forms = hurwitz(D)
-        if via_sum != via_forms:
-            return cases, (f"n={D} lhs=dirichlet:{format_coefficient(via_sum)} "
-                           f"rhs=forms:{format_coefficient(via_forms)}")
-        cases += 1
-    return cases, None
-
-
-# name -> (default sweep bound, runner, precision of each series table the
-# runner reads at a given bound)
-CHECKS = {
-    "route-equivalence": (2000, _check_route_equivalence,
-                          lambda n: {"qseries": n + 1, "eta": n + 3, "theta": min(n, 498) + 3}),
-    "vanishing-7mod8": (2000, _check_vanishing, lambda n: {"qseries": n + 1}),
-    "theta-identity": (498, _check_theta_identity,
-                       lambda n: {"qseries": n + 1, "theta": n + 3}),
-    "closed-R-tables": (301, _check_closed_r_tables, lambda n: {"theta": n + 1}),
-    "g-basis": (301, _check_g_basis, lambda n: {"theta": n + 1}),
-    "cohen-scaling": (500, _check_cohen_scaling, lambda n: {}),
-    "dirichlet-vs-forms": (2000, _check_dirichlet_vs_forms, lambda n: {}),
+# route-equivalence checks each route against the q-series, in this
+# order: up to the smaller of the bound and the route's cap, at the n
+# its domain test keeps.
+EQUIVALENCE = {
+    "eta": (math.inf, None),
+    "theta": (498, None),
+    "enum": (300, None),
+    "theorem": (math.inf, lambda n: n % 2 and n % 7 != 5),
+    "cor2": (1000, lambda n: n % 2 and n % 7 != 5 and n % 8 != 7
+             and is_fundamental(-discriminant_of(n).D)),
 }
+
+
+def _route_equivalence(limit: int, tables: dict):
+    for route, (cap, keep) in EQUIVALENCE.items():
+        yield from _against_qseries(route, min(limit, cap), tables, keep)
+
+
+def _vanishing(limit: int, tables: dict):
+    qs = tables["qseries"]
+    for n in range(7, limit + 1, 8):
+        yield n, ("qseries", qs[n]), (None, 0)
+
+
+def _against_lattice(label: str, formula: Callable, first: int):
+    """A formula for the lattice count R_i(m) of each of the three forms,
+    against the theta table, at odd m >= first coprime to 7."""
+    def cases(limit: int, tables: dict):
+        thetas = tables["theta"]
+        for m in range(first, limit + 1, 2):
+            if m % 7:
+                for i in (1, 2, 3):
+                    yield m, (f"{label}({i})", formula(i, m)), ("rep_count", thetas[i - 1][m])
+    return cases
+
+
+def _fundamental(limit: int):
+    return (D for D in range(3, limit + 1) if is_fundamental(-D))
+
+
+def _cohen_scaling(limit: int, tables: dict):
+    for D in _fundamental(limit):
+        for f in (1, 3, 5, 9, 11, 13, 15):
+            yield (D, (f"hurwitz_scaled(f={f})", hurwitz_scaled(D, f)),
+                   ("hurwitz", hurwitz(D * f * f)))
+
+
+def _dirichlet_vs_forms(limit: int, tables: dict):
+    for D in _fundamental(limit):
+        yield D, ("dirichlet", dirichlet_hurwitz(D)), ("forms", hurwitz(D))
+
+
+class Check(NamedTuple):
+    bound: int  # default sweep bound
+    needs: Callable[[int], dict]  # bound -> {route: largest n its table is read at}
+    cases: Callable  # (bound, tables) -> comparisons
+
+
+# R_i(m) sits at n = m - 2 of the theta table.  The formulas are looked
+# up by name at call time, so a wrapper put on this module's names (a
+# tracer, a test) sees their calls.
+CHECKS = {
+    "route-equivalence": Check(2000, lambda n: {
+        "qseries": n, "eta": n, "theta": min(n, EQUIVALENCE["theta"][0])}, _route_equivalence),
+    "vanishing-7mod8": Check(2000, lambda n: {"qseries": n}, _vanishing),
+    "theta-identity": Check(498, lambda n: {"qseries": n, "theta": n},
+                            lambda n, tables: _against_qseries("theta", n, tables)),
+    "closed-R-tables": Check(301, lambda n: {"theta": n - 2}, _against_lattice(
+        "closed_rep_count", lambda i, m: closed_rep_count(i, m), 3)),
+    "g-basis": Check(301, lambda n: {"theta": n - 2}, _against_lattice(
+        "theta_from_eisenstein", lambda i, m: theta_from_eisenstein(i, m), 1)),
+    "cohen-scaling": Check(500, lambda n: {}, _cohen_scaling),
+    "dirichlet-vs-forms": Check(2000, lambda n: {}, _dirichlet_vs_forms),
+}
+
+
+def _side(label: Optional[str], value) -> str:
+    text = format_coefficient(value)
+    return text if label is None else f"{label}:{text}"
 
 
 def cmd_verify(args) -> int:
@@ -348,21 +329,20 @@ def cmd_verify(args) -> int:
         print(f"error: unknown check {args.check!r}; valid checks: "
               f"{', '.join(CHECKS)}, all", file=sys.stderr)
         return 1
-    limits = {name: args.max if args.max is not None else CHECKS[name][0] for name in names}
-    precs: dict = {}
+    limits = {name: args.max if args.max is not None else CHECKS[name].bound for name in names}
+    needs: dict = {}
     for name in names:
-        for series, prec in CHECKS[name][2](limits[name]).items():
-            precs[series] = max(precs.get(series, 0), prec)
-    tables = _series_tables(precs)
+        for route, N in CHECKS[name].needs(limits[name]).items():
+            needs[route] = max(needs.get(route, N), N)
+    tables = {route: ROUTES[route].table(N) for route, N in needs.items()}
     for name in names:
-        cases, failure = CHECKS[name][1](limits[name], tables)
-        if failure is not None:
-            print(f"FAIL {name}: {failure}")
-            return 3
-        if len(names) > 1:
-            print(f"{name}: OK {cases} cases")
-        else:
-            print(f"OK {cases} cases")
+        cases = 0
+        for n, lhs, rhs in CHECKS[name].cases(limits[name], tables):
+            if lhs[1] != rhs[1]:
+                print(f"FAIL {name}: n={n} lhs={_side(*lhs)} rhs={_side(*rhs)}")
+                return 3
+            cases += 1
+        print(f"{name}: OK {cases} cases" if len(names) > 1 else f"OK {cases} cases")
     return 0
 
 

@@ -14,20 +14,17 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import (
     HypothesisViolation,
     InexactCount,
-    divisors,
     is_fundamental,
     is_prime,
     kronecker,
-    kronecker_row,
-    mobius,
-    sigma1,
     val_decompose,
 )
-from .quadforms import hurwitz, hurwitz_adjusted
+from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_adjusted, hurwitz_scaled
 
 
 class TwoAdicConvention(Enum):
@@ -182,39 +179,28 @@ def closed_rep_count(i: int, m: int) -> Fraction:
     return table[i][col] * H
 
 
-class Discriminant:
+class Discriminant(NamedTuple):
     """The negative discriminant attached to an odd n: -D with
-    D = 4^epsilon * 7 * (n+2), epsilon = 1 iff n = 1 mod 4."""
+    D = 4^epsilon * 7 * (n+2), epsilon = 1 iff n = 1 mod 4.  Build it
+    with discriminant_of, which checks n."""
 
-    __slots__ = ("n", "D", "epsilon")
-
-    def __init__(self, n: int):
-        if n < 1 or n % 2 == 0:
-            raise HypothesisViolation(f"need an odd positive n, got {n}")
-        self.n = n
-        self.epsilon = 1 if n % 4 == 1 else 0
-        self.D = (4 if self.epsilon else 1) * 7 * (n + 2)
-
-    def __repr__(self):
-        return f"Discriminant(n={self.n}, D={self.D}, epsilon={self.epsilon})"
-
-    def __eq__(self, other):
-        return (isinstance(other, Discriminant)
-                and (self.n, self.D, self.epsilon) == (other.n, other.D, other.epsilon))
-
-    def __hash__(self):
-        return hash((self.n, self.D, self.epsilon))
+    n: int
+    D: int
+    epsilon: int
 
 
 def discriminant_of(n: int) -> Discriminant:
     """D = 28n + 56 for n = 1 mod 4, D = 7n + 14 for n = 3 mod 4."""
-    return Discriminant(n)
+    if n < 1 or n % 2 == 0:
+        raise HypothesisViolation(f"need an odd positive n, got {n}")
+    epsilon = 1 if n % 4 == 1 else 0
+    return Discriminant(n, (4 if epsilon else 1) * 7 * (n + 2), epsilon)
 
 
 def theorem_discriminant(n: int) -> Discriminant:
     """D_n for an odd n where the class-number expressions apply, that is
     n != 5 mod 7; raises HypothesisViolation anywhere else."""
-    d = Discriminant(n)
+    d = discriminant_of(n)
     if n % 7 == 5:
         raise HypothesisViolation(
             f"no class-number expression at n = 5 mod 7 (got n={n}); "
@@ -223,9 +209,12 @@ def theorem_discriminant(n: int) -> Discriminant:
     return d
 
 
-def _exact_count(value: Fraction, what: str) -> int:
-    """value as an int; raises InexactCount unless it is a non-negative
-    integer, so a wrong class number can never pass as a count."""
+def _count_from_H(n: int, H: Fraction, what: str) -> int:
+    """sc7(n) = 2^(-epsilon-1) H(-D_n), that is H/4 for n = 1 mod 4 and
+    H/2 for n = 3 mod 8, as an int; raises InexactCount unless it is a
+    non-negative integer, so a wrong class number can never pass as a
+    count."""
+    value = H / (4 if n % 4 == 1 else 2)
     if value.denominator != 1 or value < 0:
         raise InexactCount(f"{what} gives {value}")
     return int(value)
@@ -247,8 +236,7 @@ def sc7_from_class_number(n: int, H: Fraction | None = None) -> int:
         return 0
     if H is None:
         H = hurwitz(d.D)
-    k = 4 if n % 4 == 1 else 2
-    return _exact_count(H / k, f"class number route at n={n} with H(-{d.D}) = {H}")
+    return _count_from_H(n, H, f"class number route at n={n} with H(-{d.D}) = {H}")
 
 
 def sc7_from_character_sum(n: int) -> int:
@@ -257,6 +245,9 @@ def sc7_from_character_sum(n: int) -> int:
         -(1/(4 D_n)) * sum_{m=1}^{D_n} chi(m) m   (n = 1 mod 4)
         -(1/(2 D_n)) * sum                        (n = 3 mod 8)
         0                                         (n = 7 mod 8)
+
+    that is H(-D_n) = -(1/D_n) * sum from `dirichlet_hurwitz`, divided by
+    4 or 2.
 
     The vanishing case needs no sum and no fundamentality, so it is
     answered before the fundamentality check.  Raises InexactCount unless
@@ -267,18 +258,18 @@ def sc7_from_character_sum(n: int) -> int:
         return 0
     if not is_fundamental(-d.D):
         raise HypothesisViolation(f"-{d.D} is not a fundamental discriminant (n={n})")
-    chi = kronecker_row(-d.D, d.D)
-    s = sum(m * v for m, v in enumerate(chi) if v)
-    return _exact_count(Fraction(-s, (4 if n % 4 == 1 else 2) * d.D),
-                        f"character sum route at n={n}")
+    return _count_from_H(n, dirichlet_hurwitz(d.D), f"character sum route at n={n}")
 
 
 def sc7_scaled(n: int, f: int) -> int:
-    """sc7((n+2) f^2 - 2) from sc7(n), for odd f coprime to 7 and
+    """sc7((n+2) f^2 - 2) from data at n, for odd f coprime to 7 and
     fundamental -D_n:
 
         sc7(n) * sum_{d | f} mu(d) chi_{-D_n}(d) sigma1(f/d)
 
+    Odd f has f^2 = 1 mod 8, so (n+2) f^2 - 2 = n mod 8, its discriminant
+    is D_n f^2 and the divisor 4 or 2 stays the same: the count is
+    H(-D_n f^2) / 4 or / 2, with H(-D_n f^2) from `hurwitz_scaled`.
     Raises InexactCount unless the count is a non-negative integer.
     """
     d = theorem_discriminant(n)
@@ -288,6 +279,6 @@ def sc7_scaled(n: int, f: int) -> int:
         raise HypothesisViolation(f"scaling factor must be coprime to 7, got f={f}")
     if not is_fundamental(-d.D):
         raise HypothesisViolation(f"-{d.D} is not a fundamental discriminant (n={n})")
-    base = sc7_from_class_number(n)
-    mult = sum(mobius(t) * kronecker(-d.D, t) * sigma1(f // t) for t in divisors(f))
-    return _exact_count(base * mult, f"scaled class number route at n={n}, f={f}")
+    if n % 8 == 7:
+        return 0
+    return _count_from_H(n, hurwitz_scaled(d.D, f), f"scaled class number route at n={n}, f={f}")

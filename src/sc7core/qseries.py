@@ -1,9 +1,8 @@
 """Truncated formal power series with exact coefficients.
 
 A QSeries knows its coefficients for exponents 0..precision-1; exponents
-at or beyond the precision are unknown, never implicitly zero.  Binary
-operations truncate to the smaller precision.  Coefficients are exact
-integers or Fractions (the latter only where inversion demands them).
+at or beyond the precision are unknown, never implicitly zero.
+Coefficients are exact; a whole Fraction is stored as an int.
 
 The two series builders here work in dense integer lists and never leave
 the integers:
@@ -24,7 +23,6 @@ a precision of 10000 about 0.3 s and 2 s.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,59 +83,6 @@ class QSeries:
         head = ", ".join(format_coefficient(v) for v in self._coeffs[:8])
         tail = ", ..." if len(self._coeffs) > 8 else ""
         return f"QSeries([{head}{tail}], precision={len(self._coeffs)})"
-
-    def __add__(self, other: "QSeries") -> "QSeries":
-        p = min(len(self._coeffs), len(other._coeffs))
-        return QSeries([self._coeffs[i] + other._coeffs[i] for i in range(p)])
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        p = min(len(self._coeffs), len(other._coeffs))
-        return QSeries([self._coeffs[i] - other._coeffs[i] for i in range(p)])
-
-    def __neg__(self) -> "QSeries":
-        return QSeries([-v for v in self._coeffs])
-
-    def __mul__(self, other: "QSeries") -> "QSeries":
-        p = min(len(self._coeffs), len(other._coeffs))
-        out = [0] * p
-        for i in range(p):
-            a = self._coeffs[i]
-            if a == 0:
-                continue
-            for j in range(p - i):
-                b = other._coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return QSeries(out)
-
-    def inverse(self) -> "QSeries":
-        """Multiplicative inverse by the standard recurrence.
-
-        Requires an invertible constant term; coefficients may leave the
-        integers, so the result uses Fractions where needed.
-        """
-        c = self._coeffs
-        if c[0] == 0:
-            raise ValueError("cannot invert a series with constant term 0")
-        inv0 = Fraction(1) / c[0]
-        out = [inv0]
-        for k in range(1, len(c)):
-            s = sum(c[j] * out[k - j] for j in range(1, k + 1) if c[j])
-            out.append(-inv0 * s)
-        return QSeries(out)
-
-    def to_json(self) -> str:
-        return json.dumps([format_coefficient(v) if isinstance(v, Fraction)
-                           else v for v in self._coeffs])
-
-    @staticmethod
-    def one(prec: int) -> "QSeries":
-        return QSeries([1] + [0] * (prec - 1))
-
-
-def series_mul(a: QSeries, b: QSeries) -> QSeries:
-    """Cauchy product truncated at the smaller precision."""
-    return a * b
 
 
 # In-place kernels on dense coefficient lists.  Multiplying by

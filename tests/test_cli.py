@@ -175,8 +175,44 @@ def test_verify_counterexample_exits_3(monkeypatch, capsys):
     code = cli.main(["verify", "--check", "vanishing-7mod8", "--max", "100"])
     out = capsys.readouterr().out
     assert code == 3
-    assert out.startswith("FAIL vanishing-7mod8")
-    assert "n=15" in out
+    assert out == "FAIL vanishing-7mod8: n=15 lhs=qseries:99 rhs=0\n"
+
+
+def test_verify_counterexample_names_both_routes(monkeypatch, capsys):
+    # a labelled mismatch: the eta route against the q-series
+    real = cli.eta_quotient_series
+
+    def corrupted(spec, prec):
+        coeffs = list(real(spec, prec).coeffs)
+        coeffs[17] = 99  # sc7(15) sits at q^17
+        return type(real(spec, 1))(coeffs)
+
+    monkeypatch.setattr(cli, "eta_quotient_series", corrupted)
+    assert cli.main(["verify", "--check", "route-equivalence", "--max", "100"]) == 3
+    assert capsys.readouterr().out == "FAIL route-equivalence: n=15 lhs=eta:99 rhs=qseries:0\n"
+
+
+def test_verify_case_counts():
+    # every check's case count, at a bound above and at the bottom of its range
+    assert run_cli("verify", "--max", "40") == (0, (
+        "route-equivalence: OK 151 cases\n"
+        "vanishing-7mod8: OK 5 cases\n"
+        "theta-identity: OK 41 cases\n"
+        "closed-R-tables: OK 48 cases\n"
+        "g-basis: OK 51 cases\n"
+        "cohen-scaling: OK 98 cases\n"
+        "dirichlet-vs-forms: OK 14 cases\n"))
+    assert run_cli("verify", "--max", "1") == (0, (
+        "route-equivalence: OK 8 cases\n"
+        "vanishing-7mod8: OK 0 cases\n"
+        "theta-identity: OK 2 cases\n"
+        "closed-R-tables: OK 0 cases\n"
+        "g-basis: OK 3 cases\n"
+        "cohen-scaling: OK 0 cases\n"
+        "dirichlet-vs-forms: OK 0 cases\n"))
+    # past every per-route cap: theta 498, enum 300, cor2 1000
+    assert run_cli("verify", "--check", "route-equivalence", "--max", "1001") == (
+        0, "OK 2500 cases\n")
 
 
 def test_cli_end_to_end_subprocess():
@@ -330,3 +366,27 @@ def test_class_number_count_check_survives_optimize():
     assert proc.stdout == "1\n"  # assert statements are stripped in this run
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: class number route at n=9")
+
+
+def test_cor2_refuses_a_character_row_too_large(monkeypatch, capsys):
+    # D_n = 280000084 would need about 15 GB; the refusal must come before
+    # any sum is started
+    def unreachable(n):
+        raise AssertionError("character sum started")
+
+    monkeypatch.setattr(cli, "sc7_from_character_sum", unreachable)
+    assert cli.main(["sc7", "10000001", "--route", "cor2"]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "theorem" in err
+
+
+def test_cor2_limit_refuses_only_a_character_sum(monkeypatch, capsys):
+    monkeypatch.setattr(cli, "COR2_MAX_D", 308)
+    assert json.loads(run_cli("sc7", "9", "--route", "cor2")[1])["D_n"] == 308
+    monkeypatch.setattr(cli, "COR2_MAX_D", 307)
+    assert cli.main(["sc7", "9", "--route", "cor2"]) == 1
+    assert "theorem" in capsys.readouterr().err
+    monkeypatch.setattr(cli, "COR2_MAX_D", 10)
+    assert json.loads(run_cli("sc7", "7", "--route", "cor2")[1])["value"] == 0  # 7 mod 8
+    assert cli.main(["sc7", "25", "--route", "cor2"]) == 2  # -756 is not fundamental
+    assert cli.main(["sc7", "19", "--route", "cor2"]) == 2  # 5 mod 7

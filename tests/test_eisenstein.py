@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from sc7core import eisenstein
+from sc7core import eisenstein, quadforms
 from sc7core.arith import HypothesisViolation, InexactCount, is_fundamental
 from sc7core.eisenstein import (
     Discriminant,
@@ -167,7 +167,7 @@ def test_discriminant_of():
         d = discriminant_of(n)
         assert d.D == (28 * n + 56 if n % 4 == 1 else 7 * n + 14)
         assert (-d.D) % 4 in (0, 1)
-    assert discriminant_of(9) == Discriminant(9)
+    assert discriminant_of(9) == Discriminant(9, 308, 1)
     with pytest.raises(HypothesisViolation):
         discriminant_of(12)
     with pytest.raises(HypothesisViolation):
@@ -215,7 +215,7 @@ def test_sc7_scaled_examples(qs7):
     for n in (1, 3, 9, 11, 13):
         assert sc7_scaled(n, 1) == sc7_from_class_number(n)
     # the scaled value really is the count at (n+2) f^2 - 2
-    for n, f in ((1, 3), (1, 15), (3, 9), (9, 13), (11, 5), (11, 15), (13, 5), (17, 11)):
+    for n, f in ((1, 3), (1, 15), (3, 9), (9, 13), (11, 5), (11, 15), (13, 5), (15, 3), (17, 11)):
         assert sc7_scaled(n, f) == qs7[(n + 2) * f * f - 2]
 
 
@@ -249,12 +249,12 @@ def test_class_number_routes_reject_inexact_counts(monkeypatch):
     monkeypatch.undo()
 
     # a character row with only chi(1) = 1 makes the sum -1/(4 D_n)
-    monkeypatch.setattr(eisenstein, "kronecker_row", lambda D, limit: [0, 1] + [0] * (limit - 1))
+    monkeypatch.setattr(quadforms, "kronecker_row", lambda D, limit: [0, 1] + [0] * (limit - 1))
     with pytest.raises(InexactCount, match="gives -1/1232"):
         sc7_from_character_sum(9)
     monkeypatch.undo()
 
     # sigma1(m) -> -m turns the scaling factor negative
-    monkeypatch.setattr(eisenstein, "sigma1", lambda m: -m)
+    monkeypatch.setattr(quadforms, "sigma1", lambda m: -m)
     with pytest.raises(InexactCount):
         sc7_scaled(11, 3)
