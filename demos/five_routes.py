@@ -5,6 +5,7 @@ Usage: python3 demos/five_routes.py
 
 from sc7core import (
     SC7_ETA_QUOTIENT,
+    HypothesisViolation,
     eta_quotient_series,
     sc7_from_class_number,
     sc7_from_thetas,
@@ -34,10 +35,10 @@ by_theta = [sc7_from_thetas(n) for n in range(LIMIT + 1)]
 print(f"{'n':>3} {'enum':>5} {'qseries':>8} {'eta':>5} {'theta':>6} {'closed':>7}")
 for n in range(LIMIT + 1):
     # Route 5 only speaks about odd n outside 5 mod 7; everywhere else
-    # it declines rather than guessing.
-    if n % 2 == 1 and n % 7 != 5:
+    # it raises HypothesisViolation rather than guessing.
+    try:
         closed = str(sc7_from_class_number(n))
-    else:
+    except HypothesisViolation:
         closed = "-"
     row = (by_enum[n], qs[n], eta[n + 2], by_theta[n])
     assert len(set(row)) == 1, (n, row)

@@ -36,7 +36,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .arith import InexactCount
-from .qseries import QSeries, format_coefficient
+from .qseries import QSeries, _x_terms, format_coefficient
 
 
 @dataclass(frozen=True)
@@ -126,19 +126,6 @@ def rep_count(Q: TernaryQF, m: int) -> int:
                         raise RuntimeError(f"box bound violated at {(x, y, z)} for {Q} = {m}")
                     count += 1
     return count
-
-
-def _x_terms(a: int, r: int, prec: int) -> dict:
-    """{exponent: multiplicity} of sum over integers x of q^(a x^2 + r x),
-    exponents below prec; needs -a < r <= a, which makes the exponent grow
-    with |x| on both sides of 0."""
-    terms: dict = {}
-    for x0, step in ((0, 1), (-1, -1)):
-        x = x0
-        while (t := a * x * x + r * x) < prec:
-            terms[t] = terms.get(t, 0) + 1
-            x += step
-    return terms
 
 
 def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:

@@ -93,14 +93,12 @@ def test_sc_series_rejects():
 
 
 def test_eta_quotient_matches_sc_series():
-    # the identity behind the eta route, at modest precision; the
-    # acceptance suite runs the full range
-    prec = 602
+    # the identity behind the eta route to n = 10000: the triple-product
+    # series against the pentagonal one
+    prec = 10003
     eta = eta_quotient_series(SC7_ETA_QUOTIENT, prec)
-    qs = sc_series(7, prec - 2)
     assert eta[0] == 0 and eta[1] == 0
-    for n in range(prec - 2):
-        assert eta[n + 2] == qs[n]
+    assert eta.coeffs[2:] == sc_series(7, prec - 2).coeffs
 
 
 def test_eta_quotient_single_factor():
@@ -140,8 +138,8 @@ def test_sc7_eta_quotient_spec():
 
 
 # Reference builders: the quadratic-time binomial algorithms that
-# sc_series and eta_quotient_series used before their pentagonal and
-# cancelled-product rewrites, kept here as independent oracles.
+# sc_series and eta_quotient_series used before their triple-product and
+# pentagonal rewrites, kept here as independent oracles.
 
 def _ref_mul_binomial(c, m, sign):
     # c <- c * (1 + sign*q^m)
@@ -224,7 +222,13 @@ def test_eta_quotient_matches_reference(spec):
         assert eta_quotient_series(spec, prec).coeffs == _ref_eta_quotient_series(spec, prec)
 
 
-@pytest.mark.parametrize("t", [1, 3, 5, 7, 9, 11])
+# 57 = 7*3^2 - 2*3 and 69 = 7*3^2 + 2*3 are exponents of the j = 1 theta
+# factor of sc_series(7, .): precisions 57 and 69 stop just short of a
+# term, 58 and 70 take it in.
+THETA_EDGES = (57, 58, 69, 70)
+
+
+@pytest.mark.parametrize("t", [1, 3, 5, 7, 9, 11, 13])
 def test_sc_series_matches_reference(t):
-    for prec in _precisions(0):
+    for prec in _precisions(0) + THETA_EDGES:
         assert sc_series(t, prec).coeffs == _ref_sc_series(t, prec)
