@@ -204,7 +204,7 @@ def theorem_discriminant(n: int) -> Discriminant:
     if n % 7 == 5:
         raise HypothesisViolation(
             f"no class-number expression at n = 5 mod 7 (got n={n}); "
-            "use the q-series or enumeration routes there"
+            "use the qseries, eta, theta or enum routes there"
         )
     return d
 

@@ -47,15 +47,6 @@ class BinaryQF(NamedTuple):
     b: int
     c: int
 
-    def discriminant(self) -> int:
-        return self.b * self.b - 4 * self.a * self.c
-
-    def is_positive_definite(self) -> bool:
-        return self.a > 0 and self.discriminant() < 0
-
-    def __call__(self, x: int, y: int) -> int:
-        return self.a * x * x + self.b * x * y + self.c * y * y
-
 
 def _check_discriminant(D: int) -> None:
     if D <= 0:

@@ -1,20 +1,20 @@
 """Ternary quadratic forms and their theta series by lattice enumeration.
 
-The box bounds come from completing squares exactly.  Writing the Gram
-matrix G of Q (half-integral off-diagonal) as L^T diag(d1,d2,d3) L with L
-unit upper triangular gives
+Q = a x^2 + b y^2 + c z^2 + d yz + e xz + f xy has integer coefficients,
+and its lattice box comes from two discriminants, in integers only.  With
+(y, z) fixed, Q = a x^2 + B x + C with B = e z + f y and
+C = b y^2 + c z^2 + d yz, and
 
-    Q(x,y,z) = d1 (x + l12 y + l13 z)^2 + d2 (y + l23 z)^2 + d3 z^2,
+    4a Q  = (2a x + B)^2 + P,   P = A y^2 + E yz + F z^2,
+    4A P  = (2A y + E z)^2 + G z^2,
 
-all di > 0 exactly when Q is positive definite.  Bounding each square by
-the remaining budget yields exact per-variable intervals, e.g.
-|z| <= sqrt(m/d3); for the first decomposition form this is the familiar
-x^2 + (y - z/2)^2 + (7/4) z^2, so |z| <= sqrt(4m/7).  All interval
-endpoints are computed in integer arithmetic (isqrt on scaled numerators),
-never floats.
+with A = 4ab - f^2, E = 4ad - 2ef, F = 4ac - e^2 and G = 4AF - E^2.  Q is
+positive definite exactly when a, A and G are all positive, and then
+Q <= m gives G z^2 + (2A y + E z)^2 <= 16aAm: one isqrt bounds |z|, one
+more per z bounds y (`TernaryQF._box`).  For the first decomposition form
+this is the familiar |z| <= sqrt(4m/7).
 
-Neither kernel loops over x.  With (y, z) fixed, Q = a x^2 + B x + C with
-B = e z + f y and C = b y^2 + c z^2 + d yz, all integers:
+Neither kernel loops over x:
 
 - `rep_count(Q, m)` solves a x^2 + B x + (C - m) = 0 for integer x with
   one isqrt per (y, z): O(m) steps.
@@ -23,10 +23,11 @@ B = e z + f y and C = b y^2 + c z^2 + d yz, all integers:
   sparse series sum_x q^(a x^2 + r x): O(sqrt(N/a)) slice-adds per row.
 
 Both replace a sweep over every lattice point of the box, O(N^1.5)
-steps.  On one core of a 2-vCPU VM (Python 3.11), the three decomposition
-forms cost about 0.05 s for `theta_coeffs` at N = 4000 and 0.23 s at
-N = 10000, and 0.004 s for `rep_count` at m = 1500 and 0.04 s at
-m = 20003.
+steps.  On one core of a 2-vCPU VM (Python 3.11, best of 5 or 15 runs,
+which drift between runs), the three decomposition forms cost about
+0.04-0.05 s for `theta_coeffs` at N = 4000 and 0.14-0.2 s at N = 10000,
+and 0.003-0.004 s for `rep_count` at m = 1500, 0.03-0.05 s at m = 20003
+and 0.16-0.24 s at m = 100003.
 """
 
 from __future__ import annotations
@@ -54,48 +55,41 @@ class TernaryQF:
         return (self.a * x * x + self.b * y * y + self.c * z * z
                 + self.d * y * z + self.e * x * z + self.f * x * y)
 
-    def _ldl(self):
-        """Exact LDL data (d1, d2, d3, l12, l13, l23) of the Gram matrix."""
-        g11, g22, g33 = Fraction(self.a), Fraction(self.b), Fraction(self.c)
-        g12, g13, g23 = Fraction(self.f, 2), Fraction(self.e, 2), Fraction(self.d, 2)
-        d1 = g11
-        if d1 <= 0:
+    def _box(self, m: int):
+        """The (y, z) at which Q(x, y, z) <= m for some real x, as
+        (zmax, y_range): |z| <= zmax, and ylo <= y <= yhi for
+        (ylo, yhi) = y_range(z), empty (0, -1) past zmax.  The bounds are
+        derived in the module docstring.  Raises ValueError unless Q is
+        positive definite."""
+        a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
+        A, E, F = 4 * a * b - f * f, 4 * a * d - 2 * e * f, 4 * a * c - e * e
+        G = 4 * A * F - E * E
+        if a <= 0 or A <= 0 or G <= 0:
             raise ValueError(f"{self} is not positive definite")
-        l12 = g12 / d1
-        l13 = g13 / d1
-        d2 = g22 - d1 * l12 * l12
-        if d2 <= 0:
-            raise ValueError(f"{self} is not positive definite")
-        l23 = (g23 - d1 * l12 * l13) / d2
-        d3 = g33 - d1 * l13 * l13 - d2 * l23 * l23
-        if d3 <= 0:
-            raise ValueError(f"{self} is not positive definite")
-        return d1, d2, d3, l12, l13, l23
+        budget = 16 * a * A * m
+
+        def y_range(z: int) -> tuple[int, int]:
+            rem = budget - G * z * z
+            if rem < 0:
+                return 0, -1
+            s = isqrt(rem)  # |2A y + E z| <= s
+            return -((s + E * z) // (2 * A)), (s - E * z) // (2 * A)
+
+        return isqrt(budget // G), y_range
 
     def is_positive_definite(self) -> bool:
         try:
-            self._ldl()
+            self._box(0)
         except ValueError:
             return False
         return True
 
 
-def _interval(center: Fraction, dcoef: Fraction, rem: Fraction) -> tuple[int, int]:
-    # integer v with dcoef*(v + center)^2 <= rem; empty interval if rem < 0.
-    # (vB + A)^2 <= rem/dcoef * B^2 with center = A/B reduces to an isqrt.
-    if rem < 0:
-        return 0, -1
-    bound = rem / dcoef
-    A, B = center.numerator, center.denominator
-    s = isqrt(bound.numerator * B * B // bound.denominator)
-    return -((s + A) // B), (s - A) // B
-
-
 def rep_count(Q: TernaryQF, m: int) -> int:
     """Number of integer triples with Q(x,y,z) = m.
 
-    Scans (y, z) over the completed-squares box plus one layer beyond
-    every edge and solves a x^2 + B x + (C - m) = 0 for x in integers:
+    Scans (y, z) over the box of Q._box(m) plus one layer beyond every
+    edge and solves a x^2 + B x + (C - m) = 0 for x in integers:
     the roots are integral exactly when disc = B^2 - 4a(C - m) is a
     square s^2 and 2a divides -B +- s.  That is O(m) steps with one isqrt
     each, and no x loop.  A root on one of the extra y or z layers raises
@@ -104,13 +98,11 @@ def rep_count(Q: TernaryQF, m: int) -> int:
     """
     if m < 0:
         raise ValueError(f"need a non-negative target, got {m}")
-    _, d2, d3, _, _, l23 = Q._ldl()
+    zmax, y_range = Q._box(m)
     a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
-    budget = Fraction(m)
-    zlo, zhi = _interval(Fraction(0), d3, budget)
     count = 0
-    for z in range(zlo - 1, zhi + 2):
-        ylo, yhi = _interval(l23 * z, d2, budget - d3 * z * z)
+    for z in range(-zmax - 1, zmax + 2):
+        ylo, yhi = y_range(z)
         for y in range(ylo - 1, yhi + 2):
             B = e * z + f * y
             disc = B * B - 4 * a * (b * y * y + c * z * z + d * y * z - m)
@@ -121,7 +113,7 @@ def rep_count(Q: TernaryQF, m: int) -> int:
                 continue
             for top in {-B - s, -B + s}:  # one root when s = 0
                 if top % (2 * a) == 0:
-                    if not (zlo <= z <= zhi and ylo <= y <= yhi):
+                    if not (-zmax <= z <= zmax and ylo <= y <= yhi):
                         x = top // (2 * a)
                         raise RuntimeError(f"box bound violated at {(x, y, z)} for {Q} = {m}")
                     count += 1
@@ -142,13 +134,11 @@ def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:
     """
     if prec < 1:
         raise ValueError("precision must be positive")
-    _, d2, d3, _, _, l23 = Q._ldl()
-    cap = Fraction(prec - 1)
+    zmax, y_range = Q._box(prec - 1)
     a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
     rows: dict = {}
-    zlo, zhi = _interval(Fraction(0), d3, cap)
-    for z in range(zlo, zhi + 1):
-        ylo, yhi = _interval(l23 * z, d2, cap - d3 * z * z)
+    for z in range(-zmax, zmax + 1):
+        ylo, yhi = y_range(z)
         for y in range(ylo, yhi + 1):
             B = e * z + f * y
             k, r = divmod(B, 2 * a)

@@ -48,6 +48,9 @@ def test_sc7_every_route_small():
 def test_sc7_hypothesis_violations_exit_2(capsys):
     assert cli.main(["sc7", "12", "--route", "theorem"]) == 2
     assert cli.main(["sc7", "19", "--route", "theorem"]) == 2
+    # n = 5 mod 7: the message names every route that answers there
+    assert capsys.readouterr().err.endswith(
+        "use the qseries, eta, theta or enum routes there\n")
     assert cli.main(["sc7", "25", "--route", "cor2"]) == 2
     err = capsys.readouterr().err
     assert "hypothesis" in err or "error" in err

@@ -21,11 +21,9 @@ FORMS_308 = [(1, 0, 77), (2, 2, 39), (3, -2, 26), (3, 2, 26),
 
 def test_binary_qf():
     f = BinaryQF(2, 2, 39)
-    assert f.discriminant() == -308
-    assert f.is_positive_definite()
-    assert f(1, 0) == 2 and f(0, 1) == 39 and f(1, -1) == 39
-    assert not BinaryQF(-1, 0, 1).is_positive_definite()
-    assert not BinaryQF(1, 3, 1).is_positive_definite()
+    assert (f.a, f.b, f.c) == (2, 2, 39)
+    assert f.b * f.b - 4 * f.a * f.c == -308
+    assert BinaryQF(1, 0, 77) < f < BinaryQF(3, -2, 26)  # lexicographic
 
 
 def _ref_reduced_forms(D):
@@ -113,7 +111,7 @@ def test_reduced_forms_well_formed():
         forms = reduced_forms(D)
         assert forms == sorted(set(forms))
         for f in forms:
-            assert f.discriminant() == -D
+            assert f.b * f.b - 4 * f.a * f.c == -D
             assert -f.a < f.b <= f.a <= f.c
             assert not (f.a == f.c and f.b < 0)
 

@@ -9,13 +9,13 @@ import pytest
 
 import sc7core
 from sc7core.arith import InexactCount
+from sc7core.eisenstein import sc7_from_class_number
 from sc7core.partitions import sc_count
 from sc7core.qseries import QSeries
 from sc7core.ternary import (
     DECOMPOSITION_FORMS,
     DECOMPOSITION_WEIGHTS,
     TernaryQF,
-    _interval,
     rep_count,
     sc7_from_reps,
     sc7_from_thetas,
@@ -23,11 +23,49 @@ from sc7core.ternary import (
 )
 
 
+# The box of the reference kernels comes from completing squares in
+# Fraction arithmetic, independently of TernaryQF._box: the Gram matrix
+# G of Q (half-integral off-diagonal) is L^T diag(d1, d2, d3) L with L
+# unit upper triangular, so that
+#     Q(x,y,z) = d1 (x + l12 y + l13 z)^2 + d2 (y + l23 z)^2 + d3 z^2,
+# and each square is bounded by what the outer ones leave of the budget.
+
+def _ref_ldl(Q):
+    """Exact LDL data (d1, d2, d3, l12, l13, l23) of the Gram matrix of Q;
+    None unless Q is positive definite."""
+    g11, g22, g33 = Fraction(Q.a), Fraction(Q.b), Fraction(Q.c)
+    g12, g13, g23 = Fraction(Q.f, 2), Fraction(Q.e, 2), Fraction(Q.d, 2)
+    d1 = g11
+    if d1 <= 0:
+        return None
+    l12 = g12 / d1
+    l13 = g13 / d1
+    d2 = g22 - d1 * l12 * l12
+    if d2 <= 0:
+        return None
+    l23 = (g23 - d1 * l12 * l13) / d2
+    d3 = g33 - d1 * l13 * l13 - d2 * l23 * l23
+    if d3 <= 0:
+        return None
+    return d1, d2, d3, l12, l13, l23
+
+
+def _interval(center, dcoef, rem):
+    # integer v with dcoef*(v + center)^2 <= rem; empty interval if rem < 0.
+    # (vB + A)^2 <= rem/dcoef * B^2 with center = A/B reduces to an isqrt.
+    if rem < 0:
+        return 0, -1
+    bound = rem / dcoef
+    A, B = center.numerator, center.denominator
+    s = isqrt(bound.numerator * B * B // bound.denominator)
+    return -((s + A) // B), (s - A) // B
+
+
 # Reference kernels: the box sweeps that rep_count and theta_coeffs
 # replaced, visiting every lattice point of the completed-squares box.
 
 def _ref_rep_count(Q, m):
-    d1, d2, d3, l12, l13, l23 = Q._ldl()
+    d1, d2, d3, l12, l13, l23 = _ref_ldl(Q)
     budget = Fraction(m)
     zlo, zhi = _interval(Fraction(0), d3, budget)
     count = 0
@@ -44,7 +82,7 @@ def _ref_rep_count(Q, m):
 
 
 def _ref_theta_coeffs(Q, prec):
-    d1, d2, d3, l12, l13, l23 = Q._ldl()
+    d1, d2, d3, l12, l13, l23 = _ref_ldl(Q)
     cap = Fraction(prec - 1)
     counts = [0] * prec
     zlo, zhi = _interval(Fraction(0), d3, cap)
@@ -193,52 +231,77 @@ def test_sc7_from_thetas_spot():
     assert sc7_from_thetas(25) == 4
 
 
-# Narrows every box interval by one on each side, so that rep_count's
-# one-layer-beyond scan finds solutions outside the box it was given.
+def test_box_is_the_completed_squares_box():
+    # _box gives, at every z, the same y range as the Fraction box of the
+    # reference kernels, and the same z range.
+    for Q in DECOMPOSITION_FORMS + MIXED_FORMS:
+        _, d2, d3, _, _, l23 = _ref_ldl(Q)
+        for m in (*range(40), 97, 401, 1502, 20003):
+            zmax, y_range = Q._box(m)
+            assert (-zmax, zmax) == _interval(Fraction(0), d3, Fraction(m)), (Q, m)
+            for z in range(-zmax - 2, zmax + 3):
+                assert y_range(z) == _interval(l23 * z, d2, m - d3 * z * z), (Q, m, z)
+
+
+def test_positive_definite_matches_ldl():
+    forms = [TernaryQF(a, b, c, d, e, f)
+             for a in range(-1, 3) for b in range(-1, 3) for c in range(-1, 3)
+             for d in range(-2, 3) for e in range(-2, 3) for f in range(-2, 3)]
+    assert sum(Q.is_positive_definite() for Q in forms) > 100
+    for Q in forms:
+        assert Q.is_positive_definite() == (_ref_ldl(Q) is not None), Q
+
+
+def test_sc7_from_thetas_at_large_n():
+    # the only rep_count calls far past m = 3000: the box at m = n + 2
+    for n, value in ((20001, 122), (100001, 88)):
+        assert sc7_from_thetas(n) == sc7_from_class_number(n) == value
+
+
+def _narrowed(box, layer):
+    """TernaryQF._box with its y range (layer 1) or its zmax (layer 2)
+    narrowed by one on each side, so that solutions at the extreme y or z
+    land on the extra layer that rep_count scans beyond the box."""
+    def narrow(Q, m):
+        zmax, y_range = box(Q, m)
+        if layer == 2:
+            return zmax - 1, y_range
+
+        def narrow_y(z):
+            lo, hi = y_range(z)
+            return lo + 1, hi - 1
+        return zmax, narrow_y
+    return narrow
+
+
+# Runs sc7_from_thetas(9) with the box narrowed in the layer given as
+# the first argument; this file is imported for _narrowed.
 NARROW_BOX = """
 import sys
-from sc7core import ternary
+from sc7core.ternary import TernaryQF, sc7_from_thetas
+from test_ternary import _narrowed
 
-interval = ternary._interval
-
-
-def narrow(center, dcoef, rem):
-    lo, hi = interval(center, dcoef, rem)
-    return lo + 1, hi - 1
-
-
-ternary._interval = narrow
+TernaryQF._box = _narrowed(TernaryQF._box, int(sys.argv[1]))
 print(sys.flags.optimize)
-ternary.sc7_from_thetas(9)
+sc7_from_thetas(9)
 """
 
 
 def test_box_bound_check_survives_optimize():
-    src = str(Path(sc7core.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", NARROW_BOX],
-                          capture_output=True, text=True, env=env, timeout=60)
-    assert proc.stdout == "1\n"  # assert statements are stripped in this run
-    assert proc.returncode == 1
-    assert "RuntimeError: box bound violated at" in proc.stderr
+    paths = (str(Path(sc7core.__file__).resolve().parents[1]),
+             str(Path(__file__).resolve().parent), os.environ.get("PYTHONPATH"))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    for layer in (1, 2):
+        proc = subprocess.run([sys.executable, "-O", "-c", NARROW_BOX, str(layer)],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.stdout == "1\n"  # assert statements are stripped in this run
+        assert proc.returncode == 1, layer
+        assert "RuntimeError: box bound violated at" in proc.stderr, layer
 
 
 @pytest.mark.parametrize("layer", [1, 2])
 def test_box_bound_check_covers_each_layer(monkeypatch, layer):
-    # Narrow only the y intervals (coefficient d2 = 1 in Q1) or only the
-    # z interval (d3 = 7/4): solutions at the extreme y or z then land on
-    # the extra layer beyond it.
-    from sc7core import ternary
-
     Q1 = DECOMPOSITION_FORMS[0]
-    dcoef_narrowed = Q1._ldl()[layer]
-    interval = ternary._interval
-
-    def narrow(center, dcoef, rem):
-        lo, hi = interval(center, dcoef, rem)
-        return (lo + 1, hi - 1) if dcoef == dcoef_narrowed else (lo, hi)
-
-    monkeypatch.setattr(ternary, "_interval", narrow)
+    monkeypatch.setattr(TernaryQF, "_box", _narrowed(TernaryQF._box, layer))
     with pytest.raises(RuntimeError, match="box bound violated at"):
         rep_count(Q1, 11)
