@@ -19,19 +19,35 @@ core of a 2-vCPU VM (Python 3.11) it takes about 4 ms at D = 2.8e6,
 15 ms at D = 2.8e7 and 40-50 ms at D = 2.8e8 (the theorem route at
 n = 10^7); below D of about 3000 its cost per a makes it up to twice as
 slow as the scan, at tens of microseconds per call.
+
+`dirichlet_hurwitz(D)` evaluates the character sum without a Python step
+per m: chi_{-D} is a product of periodic factors, the Legendre symbol
+(m/p) for each odd p | D and a character mod 4 or 8 for the 2-part.  Each
+factor's residue table is filled once by C-level builtins, tiled to
+length D by sequence repetition, and the tiles are combined as one
+integer per mask, a byte per m; `compress` then picks out the m where the
+character is -1, the only ones summed one by one.
+It costs O(D) byte operations and about 5 bytes of memory per unit of D:
+on the same VM, `sc7 1000001 --route cor2` (D = 28000084) takes 1.7-2.1 s
+and 185 MB peak RSS, against 23.7 s and 1.5 GB for a sum over the
+smallest-prime-factor sieve `arith.kronecker_row`, which stays as the
+test oracle.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
-from math import isqrt
+from itertools import accumulate, compress, repeat
+from math import isqrt, prod
+from operator import mod, setitem
 from typing import NamedTuple
 
 from .arith import (
     HypothesisViolation,
+    factorize,
     is_fundamental,
     kronecker,
-    kronecker_row,
     mobius,
     divisors,
     sigma1,
@@ -169,6 +185,56 @@ def hurwitz_adjusted(N: int) -> Fraction:
     return hurwitz(4 * N)
 
 
+def _legendre_signs(p: int) -> bytearray:
+    """One byte per residue r mod the odd prime p: 1 where (r/p) = -1,
+    0 where r is a nonzero square or r = 0."""
+    signs = bytearray(b"\x01") * p
+    signs[0] = 0
+    # k^2 = 1 + 3 + ... + (2k - 1) for k = 1..(p-1)/2 are the nonzero
+    # squares mod p; deque(maxlen=0) drains the map at C level.
+    squares = map(mod, accumulate(range(1, p, 2)), repeat(p))
+    deque(map(setitem, repeat(signs), squares, repeat(0)), maxlen=0)
+    return signs
+
+
+def _character_tables(D: int) -> list[tuple[bytes, bytes]]:
+    """chi_{-D} for fundamental -D as coprime periodic factors, each given
+    over one period as (sign bytes, zero bytes): 1 where the factor is -1,
+    and 1 where it is 0.
+
+    -D is the product of p* = (-1)^((p-1)/2) p over the odd primes p | D,
+    whose characters are the Legendre symbols (m/p), and of d2 = 1, -4 or
+    +-8; the character of d2 has period |d2| and is read off `kronecker`
+    at its residues.  Every period divides D.
+    """
+    odd = [p for p, _ in factorize(D) if p != 2]
+    tables = [(_legendre_signs(p), b"\x01" + bytes(p - 1)) for p in odd]
+    d2 = -D // prod(p if p % 4 == 1 else -p for p in odd)
+    if d2 != 1:
+        values = [0] + [kronecker(d2, r) for r in range(1, abs(d2))]
+        tables.append((bytes(v < 0 for v in values), bytes(v == 0 for v in values)))
+    return tables
+
+
+def _character_moment(D: int) -> int:
+    """sum_{m=1}^{D} chi_{-D}(m) * m for fundamental -D.
+
+    Each factor's tables are tiled to length D, over m = 0..D-1, and packed
+    into one integer per mask, a byte per m: the signs multiply by XOR and
+    the zeros by OR.  The sum is that over the m with chi(m) != 0 less
+    twice that over the m with chi(m) = -1; `compress` picks the latter
+    out of range(D), and the former, m coprime to D, pair off as m and
+    D - m, so they add up to D/2 each.  chi(D) = 0: m = D adds nothing.
+    """
+    sign = zero = 0
+    for signs, zeros in _character_tables(D):
+        sign ^= int.from_bytes(signs * (D // len(signs)), "little")
+        zero |= int.from_bytes(zeros * (D // len(zeros)), "little")
+    live = int.from_bytes(b"\x01" * D, "little") ^ zero  # chi(m) != 0
+    minus = (sign & live).to_bytes(D, "little")
+    return D * live.bit_count() // 2 - 2 * sum(compress(range(D), minus))
+
+
 def dirichlet_hurwitz(D: int) -> Fraction:
     """H(-D) for fundamental -D via the finite character sum.
 
@@ -176,13 +242,20 @@ def dirichlet_hurwitz(D: int) -> Fraction:
     chi_{-D}(m) * m with u the unit count of Q(sqrt(-D)); dividing by
     w = u/2 turns the ordinary class number into the Hurwitz value, which
     for fundamental -D differs from h only at D = 3 and D = 4.
+
+    The sum runs no Python step per m: chi_{-D} is the product of the
+    Legendre symbols of the odd primes of D and a character mod 4 or 8,
+    each a residue table filled by C-level builtins in O(p) and tiled to
+    length D (see `_character_moment`).  Cost: O(D) byte operations and
+    about 5 bytes of memory per unit of D at the peak; single runs on one
+    core of a 2-vCPU VM (Python 3.11) take 13-16 ms at D = 100003 and
+    145-165 ms at D = 1000003, against 43 ms and 670 ms for a sum over
+    `arith.kronecker_row(-D, D)`.
     """
     if D <= 0 or not is_fundamental(-D):
         raise HypothesisViolation(f"-{D} is not a fundamental discriminant")
     u = unit_count(-D)
-    chi = kronecker_row(-D, D)
-    s = sum(m * v for m, v in enumerate(chi) if v)
-    class_number = Fraction(-u * s, 2 * D)
+    class_number = Fraction(-u * _character_moment(D), 2 * D)
     return class_number / (u // 2)
 
 

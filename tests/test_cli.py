@@ -372,7 +372,7 @@ def test_class_number_count_check_survives_optimize():
 
 
 def test_cor2_refuses_a_character_row_too_large(monkeypatch, capsys):
-    # D_n = 280000084 would need about 15 GB; the refusal must come before
+    # D_n = 280000084 is ten times the limit; the refusal must come before
     # any sum is started
     def unreachable(n):
         raise AssertionError("character sum started")

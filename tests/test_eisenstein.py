@@ -248,8 +248,8 @@ def test_class_number_routes_reject_inexact_counts(monkeypatch):
         sc7_from_class_number(11, Fraction(-2))
     monkeypatch.undo()
 
-    # a character row with only chi(1) = 1 makes the sum -1/(4 D_n)
-    monkeypatch.setattr(quadforms, "kronecker_row", lambda D, limit: [0, 1] + [0] * (limit - 1))
+    # a character sum of 1, as from chi(1) = 1 alone, makes the count -1/(4 D_n)
+    monkeypatch.setattr(quadforms, "_character_moment", lambda D: 1)
     with pytest.raises(InexactCount, match="gives -1/1232"):
         sc7_from_character_sum(9)
     monkeypatch.undo()

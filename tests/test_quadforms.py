@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from sc7core.arith import HypothesisViolation, divisors, is_fundamental
+from sc7core.arith import HypothesisViolation, divisors, is_fundamental, kronecker_row, unit_count
 from sc7core.quadforms import (
     BinaryQF,
     _sqrt_mod_prime,
@@ -220,6 +220,49 @@ def test_dirichlet_matches_forms():
     for D in range(3, 301):
         if is_fundamental(-D):
             assert dirichlet_hurwitz(D) == hurwitz(D)
+
+
+def _ref_dirichlet_hurwitz(D):
+    """H(-D) = h(-D) / (u/2) with h(-D) = -(u/2D) * sum m chi(m) summed
+    over the sieved character row; a test oracle only."""
+    u = unit_count(-D)
+    h = Fraction(-u * sum(m * v for m, v in enumerate(kronecker_row(-D, D))), 2 * D)
+    return h / (u // 2)
+
+
+def test_dirichlet_hurwitz_matches_character_row():
+    for D in range(3, 3000):
+        if is_fundamental(-D):
+            assert dirichlet_hurwitz(D) == _ref_dirichlet_hurwitz(D), D
+
+
+# H(-D) at fundamental -D, by the 2-part of chi_{-D}: none (D odd), the
+# character of -4 (D = 4m, m = 1 mod 4), of -8 (D = 8m, m = 1 mod 4) and
+# of 8 (D = 8m, m = 3 mod 4).  D = 3, 4, 8 have 6, 4 and 2 units.
+DIRICHLET_CASES = {
+    "odd": {3: Fraction(1, 3), 7: 1, 15: 2, 23: 3, 47: 5, 700035: 224},
+    "-4": {4: Fraction(1, 2), 20: 2, 52: 2, 84: 4, 116: 6},
+    "-8": {8: 1, 40: 2, 104: 6, 136: 4},
+    "8": {24: 2, 56: 4, 88: 2, 120: 4},
+}
+
+
+@pytest.mark.parametrize("part", DIRICHLET_CASES)
+def test_dirichlet_hurwitz_named_cases(part):
+    for D, H in DIRICHLET_CASES[part].items():
+        assert dirichlet_hurwitz(D) == H == hurwitz(D), D
+
+
+def test_dirichlet_hurwitz_matches_character_row_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+    @hypothesis.given(st.integers(3, 200000).filter(lambda D: is_fundamental(-D)))
+    def check(D):
+        assert dirichlet_hurwitz(D) == _ref_dirichlet_hurwitz(D)
+
+    check()
 
 
 def test_dirichlet_rejects_nonfundamental():
