@@ -1,6 +1,8 @@
 import pytest
 
+from sc7core import partitions
 from sc7core.partitions import (
+    _beta_is_t_core,
     c_count,
     conjugate,
     distinct_odd_partitions,
@@ -11,6 +13,7 @@ from sc7core.partitions import (
     sc_count,
     self_conjugate_partitions,
 )
+from sc7core.qseries import sc_series
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
 
@@ -79,6 +82,11 @@ def test_distinct_odd_partitions_matches_filter():
         assert sorted(got) == sorted(brute)
 
 
+def test_distinct_odd_partitions_rejects_negative():
+    with pytest.raises(ValueError, match="n must be non-negative"):
+        list(distinct_odd_partitions(-3))
+
+
 def test_from_diagonal_hooks_roundtrip():
     # rebuilt partitions are self-conjugate with exactly the requested
     # diagonal hooks
@@ -140,6 +148,101 @@ def test_sc_count_edges():
         sc_count(-1, 7)
     with pytest.raises(ValueError):
         sc_count(5, 0)
+
+
+def _ref_sc_count(n: int, t: int) -> int:
+    """The walk sc_count replaced: every odd part under the bound
+    rem - d <= ((d-1)/2)^2, rules (i)-(iii) checked as parts are chosen."""
+    if n < 0:
+        raise ValueError("n must be non-negative")
+    if t < 1:
+        raise ValueError(f"t must be a positive integer, got {t}")
+    t2 = 2 * t
+    count = 0
+    chosen: list[int] = []
+    used = [0] * t2
+    pending: set[int] = set()
+
+    def chain_sum(p: int) -> int:
+        # total mass rule (iii) still forces below p: p + (p-2t) + ...
+        s = 0
+        while p > 0:
+            s += p
+            p -= t2
+        return s
+
+    def walk(rem: int, cap: int) -> None:
+        nonlocal count
+        if rem == 0:
+            if not pending and _beta_is_t_core(from_diagonal_hooks(chosen), t):
+                count += 1
+            return
+        if pending:
+            if max(pending) > cap:
+                return
+            if sum(chain_sum(p) for p in pending) > rem:
+                return
+        top = rem if rem % 2 else rem - 1
+        if cap < top:
+            top = cap
+        for d in range(top, 0, -2):
+            if rem - d > ((d - 1) // 2) ** 2:
+                break
+            if d % t == 0 or used[-d % t2]:
+                continue
+            used[d % t2] += 1
+            chosen.append(d)
+            satisfied = d in pending
+            if satisfied:
+                pending.discard(d)
+            obligation = d - t2
+            if obligation > 0:
+                pending.add(obligation)
+            walk(rem - d, d - 2)
+            if obligation > 0:
+                pending.discard(obligation)
+            if satisfied:
+                pending.add(d)
+            chosen.pop()
+            used[d % t2] -= 1
+
+    walk(n, n)
+    return count
+
+
+def test_sc_count_matches_reference_walk(enum_counts):
+    assert enum_counts == [_ref_sc_count(n, 7) for n in range(301)]
+    for t in (1, 2, 3, 4, 5, 9, 11):
+        for n in range(121):
+            assert sc_count(n, t) == _ref_sc_count(n, t), (n, t)
+
+
+def test_sc_count_matches_series_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=25, derandomize=True, deadline=None)
+    @hypothesis.given(st.integers(0, 3000))
+    def check(n):
+        assert sc_count(n, 7) == sc_series(7, n + 1)[n]
+
+    check()
+
+
+def test_sc_count_leaves_every_leaf_to_the_hook_test(monkeypatch):
+    calls = []
+
+    def counting(p, t):
+        calls.append(p)
+        return _beta_is_t_core(p, t)
+
+    monkeypatch.setattr(partitions, "_beta_is_t_core", counting)
+    assert sc_count(2923, 7) == 25
+    assert len(calls) >= 25
+
+    monkeypatch.setattr(partitions, "_beta_is_t_core", lambda p, t: False)
+    for n in range(1, 51):
+        assert sc_count(n, 7) == 0, n
 
 
 def test_c_count():

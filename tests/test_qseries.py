@@ -75,9 +75,12 @@ def test_tcore_generating_function():
 
 def test_sc_series_matches_enumeration():
     for t in (3, 5, 7):
-        s = sc_series(t, 31)
-        for n in range(31):
+        s = sc_series(t, 401)
+        for n in range(401):
             assert s[n] == sc_count(n, t)
+    s = sc_series(7, 8002)
+    for n, expected in ((1499, 10), (3001, 32), (8001, 56)):
+        assert s[n] == sc_count(n, 7) == expected
 
 
 def test_sc_series_known_values():
