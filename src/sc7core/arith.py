@@ -171,16 +171,6 @@ def kronecker_row(D: int, limit: int) -> list[int]:
     return chi
 
 
-def _squarefree_kernel(n: int) -> int:
-    """Squarefree part of n (same sign as n)."""
-    sign = -1 if n < 0 else 1
-    k = 1
-    for p, e in factorize(abs(n)):
-        if e % 2:
-            k *= p
-    return sign * k
-
-
 def is_fundamental(D: int) -> bool:
     """True iff D < 0 is the discriminant of an imaginary quadratic field:
     D ≡ 1 mod 4 with |D| squarefree, or D = 4m with m ≡ 2, 3 mod 4 and |m|
@@ -194,20 +184,3 @@ def is_fundamental(D: int) -> bool:
         return m % 4 in (2, 3) and is_squarefree(-m)
     return False
 
-
-def unit_count(D: int) -> int:
-    """Order of the unit group of the ring of integers of Q(sqrt(D)), D < 0.
-
-    6 for the field of discriminant -3, 4 for discriminant -4, 2 otherwise.
-    D may be any negative discriminant (0 or 1 mod 4); the field is found
-    through the squarefree kernel.
-    """
-    if D >= 0 or D % 4 not in (0, 1):
-        raise ValueError(f"{D} is not a negative discriminant")
-    core = _squarefree_kernel(D)
-    field_disc = core if core % 4 == 1 else 4 * core
-    if field_disc == -3:
-        return 6
-    if field_disc == -4:
-        return 4
-    return 2

@@ -39,7 +39,6 @@ from .eisenstein import (
     discriminant_of,
     sc7_from_character_sum,
     sc7_from_class_number,
-    theorem_discriminant,
     theta_from_eisenstein,
 )
 from .partitions import sc_count
@@ -96,34 +95,18 @@ class Route(NamedTuple):
     single: Optional[Callable[[int], tuple]] = None
 
 
-# The cor2 character sum costs O(D_n) time and memory: `sc7 1000001 --route
-# cor2` (D_n = 2.8e7) takes about 2 s and 185 MB peak RSS on one core of a
-# 2-vCPU VM, and the cost grows in proportion to D_n.  The route refuses
-# a larger D_n; the theorem route answers n = 10^9 + 1 in under a second.
-COR2_MAX_D = 3 * 10**7
-
-
-def _cor2_count(n: int) -> int:
-    d = theorem_discriminant(n)
-    # Only a character sum the route would really build is refused; every
-    # other answer (0 at 7 mod 8, a non-fundamental -D_n) stays as it is.
-    if n % 8 != 7 and d.D > COR2_MAX_D and is_fundamental(-d.D):
-        raise ValueError(f"cor2 needs a character sum of length D_n = {d.D} at n={n}, "
-                         f"above its limit {COR2_MAX_D}; use --route theorem")
-    return sc7_from_character_sum(n)
-
-
-def _theorem_single(n: int) -> tuple:
-    # theorem_discriminant first, so no H is computed outside the domain
-    d = theorem_discriminant(n)
-    H = hurwitz(d.D)
-    return sc7_from_class_number(n, H), {"D_n": d.D, "H": H}
-
-
-def _cor2_single(n: int) -> tuple:
-    value = _cor2_count(n)
-    d = discriminant_of(n)
-    return value, {"D_n": d.D, "H": hurwitz(d.D)}
+def _class_number_route(count: Callable[[int], int]) -> Route:
+    """A route whose count(n) is H(-D_n) / 2^(epsilon+1), which count has
+    already checked to be a non-negative integer.  single(n) reports D_n
+    and H(-D_n) with it, reading H exactly back from the count, so no
+    second class number is built.  At n = 7 mod 8 the count reads no class
+    number, and H comes from the reduced forms."""
+    def single(n: int) -> tuple:
+        value = count(n)
+        d = discriminant_of(n)
+        H = hurwitz(d.D) if n % 8 == 7 else value * 2 ** (d.epsilon + 1)
+        return value, {"D_n": d.D, "H": H}
+    return Route(read=lambda _, n: count(n), single=single)
 
 
 ROUTES = {
@@ -136,8 +119,8 @@ ROUTES = {
     "theta": Route(read=lambda thetas, n: sc7_from_reps([t[n + 2] for t in thetas]),
                    table=lambda N: [theta_coeffs(Q, N + 3) for Q in DECOMPOSITION_FORMS],
                    single=lambda n: (sc7_from_thetas(n), {})),
-    "theorem": Route(read=lambda _, n: sc7_from_class_number(n), single=_theorem_single),
-    "cor2": Route(read=lambda _, n: _cor2_count(n), single=_cor2_single),
+    "theorem": _class_number_route(lambda n: sc7_from_class_number(n)),
+    "cor2": _class_number_route(lambda n: sc7_from_character_sum(n)),
 }
 
 
@@ -151,13 +134,19 @@ def record_for(n: int, route: str, caches: Optional[dict] = None) -> OutputRecor
     """Evaluate one (n, route) cell, from caches[route] when the caller
     built that route's table.  Raises HypothesisViolation when the route
     does not apply at n; table mode skips such cells, single mode turns
-    them into exit code 2."""
+    them into exit code 2.  Every count leaves through here, and raises
+    InexactCount (exit code 3) unless it is a non-negative int."""
     r = _route(route)
+    extras: dict = {}
     if caches and route in caches:
-        return OutputRecord(n, route, r.read(caches[route], n), {})
-    if r.single:
-        return OutputRecord(n, route, *r.single(n))
-    return OutputRecord(n, route, r.read(r.table(n) if r.table else None, n), {})
+        value = r.read(caches[route], n)
+    elif r.single:
+        value, extras = r.single(n)
+    else:
+        value = r.read(r.table(n) if r.table else None, n)
+    if not isinstance(value, int) or value < 0:
+        raise InexactCount(f"{route} route at n={n} gives {value}")
+    return OutputRecord(n, route, value, extras)
 
 
 class _Parser(argparse.ArgumentParser):

@@ -3,22 +3,32 @@
 H(-D) is the class count of forms of discriminant -D (imprimitive forms
 included), weighted 1/2 for classes of multiples of X^2 + Y^2 and 1/3 for
 multiples of X^2 + XY + Y^2; its denominator always divides 6.  Two
-independent evaluations are provided: direct reduced-form enumeration and
-the Dirichlet character-sum class number formula, plus the multiplicative
-scaling to non-fundamental levels.
+independent evaluations are provided, reduced-form enumeration (`hurwitz`)
+and the Dirichlet character sum (`dirichlet_hurwitz`), plus the
+multiplicative scaling from a fundamental level (`hurwitz_scaled`).
+
+The character-sum formulas need no unit count.  For fundamental -D with
+u units in Q(sqrt(-D)), h(-D) = -(u/2D) * sum_{m=1}^{D} chi_{-D}(m) * m
+and H(-D) = h(-D) / (u/2), so u cancels:
+
+    H(-D) = -(1/D) * sum_{m=1}^{D} chi_{-D}(m) * m
+
+(Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
+sections 5.3-5.4).  At fundamental -D every form is primitive, and the
+weights 1/2 and 1/3 fall exactly on the one class of D = 4 and of D = 3,
+so the weighted form count `hurwitz(D)` is h(-D)/(u/2) as well.
 
 `reduced_forms(D)` lists, for each a <= sqrt(D/3), only the b with
 b^2 = -D mod 4a: the square roots of -D mod each prime power of 4a, from
 Tonelli-Shanks and Hensel lifting (or by trying every residue for 2 and
 for primes dividing D), joined by the Chinese remainder theorem.  This is
-the output-sensitive enumeration of Cohen, A Course in Computational
-Algebraic Number Theory (GTM 138), section 5.3; it is exact and needs no
-GRH.  It costs O(sqrt(D) log D) steps plus one per candidate root,
-against the D/3 steps of trying all 2a values of b for every a.  On one
-core of a 2-vCPU VM (Python 3.11) it takes about 4 ms at D = 2.8e6,
-15 ms at D = 2.8e7 and 40-50 ms at D = 2.8e8 (the theorem route at
-n = 10^7); below D of about 3000 its cost per a makes it up to twice as
-slow as the scan, at tens of microseconds per call.
+the output-sensitive enumeration of Cohen, section 5.3; it is exact and
+needs no GRH.  It costs O(sqrt(D) log D) steps plus one per candidate
+root, against the D/3 steps of trying all 2a values of b for every a.
+On one core of a 2-vCPU VM (Python 3.11) it takes about 4 ms at
+D = 2.8e6, 15 ms at D = 2.8e7 and 40-50 ms at D = 2.8e8 (the theorem
+route at n = 10^7); below D of about 3000 its cost per a makes it up to
+twice as slow as the scan, at tens of microseconds per call.
 
 `dirichlet_hurwitz(D)` evaluates the character sum without a Python step
 per m: chi_{-D} is a product of periodic factors, the Legendre symbol
@@ -26,11 +36,10 @@ per m: chi_{-D} is a product of periodic factors, the Legendre symbol
 factor's residue table is filled once by C-level builtins, tiled to
 length D by sequence repetition, and the tiles are combined as one
 integer per mask, a byte per m; `compress` then picks out the m where the
-character is -1, the only ones summed one by one.
-It costs O(D) byte operations and about 5 bytes of memory per unit of D:
-on the same VM, `sc7 1000001 --route cor2` (D = 28000084) takes 1.7-2.1 s
-and 185 MB peak RSS, against 23.7 s and 1.5 GB for a sum over the
-smallest-prime-factor sieve `arith.kronecker_row`, which stays as the
+character is -1, the only ones summed one by one.  It costs O(D) byte
+operations and about 5 bytes of memory per unit of D: on the same VM,
+D = 28000084 (`sc7 1000001 --route cor2`) takes 1.7-2.1 s and 185 MB
+peak RSS.  The smallest-prime-factor sieve `arith.kronecker_row` is its
 test oracle.
 """
 
@@ -52,7 +61,6 @@ from .arith import (
     divisors,
     sigma1,
     smallest_prime_factors,
-    unit_count,
 )
 
 
@@ -236,12 +244,10 @@ def _character_moment(D: int) -> int:
 
 
 def dirichlet_hurwitz(D: int) -> Fraction:
-    """H(-D) for fundamental -D via the finite character sum.
+    """H(-D) = -(1/D) * sum_{m=1}^{D} chi_{-D}(m) * m for fundamental -D.
 
-    The class number formula gives h(-D) = -(u/2D) * sum_{m=1}^{D}
-    chi_{-D}(m) * m with u the unit count of Q(sqrt(-D)); dividing by
-    w = u/2 turns the ordinary class number into the Hurwitz value, which
-    for fundamental -D differs from h only at D = 3 and D = 4.
+    This is h(-D) = -(u/2D) * sum divided by u/2, with u the unit count
+    of Q(sqrt(-D)), which cancels; D = 3 and D = 4 need no special case.
 
     The sum runs no Python step per m: chi_{-D} is the product of the
     Legendre symbols of the odd primes of D and a character mod 4 or 8,
@@ -249,29 +255,26 @@ def dirichlet_hurwitz(D: int) -> Fraction:
     length D (see `_character_moment`).  Cost: O(D) byte operations and
     about 5 bytes of memory per unit of D at the peak; single runs on one
     core of a 2-vCPU VM (Python 3.11) take 13-16 ms at D = 100003 and
-    145-165 ms at D = 1000003, against 43 ms and 670 ms for a sum over
-    `arith.kronecker_row(-D, D)`.
+    145-165 ms at D = 1000003.
     """
     if D <= 0 or not is_fundamental(-D):
         raise HypothesisViolation(f"-{D} is not a fundamental discriminant")
-    u = unit_count(-D)
-    class_number = Fraction(-u * _character_moment(D), 2 * D)
-    return class_number / (u // 2)
+    return Fraction(-_character_moment(D), D)
 
 
 def hurwitz_scaled(D: int, f: int) -> Fraction:
     """H(-D f^2) from data at the fundamental level -D:
 
-        (h(-D)/w) * sum_{d | f} mu(d) chi_{-D}(d) sigma1(f/d)
+        H(-D) * sum_{d | f} mu(d) chi_{-D}(d) sigma1(f/d)
 
-    with h the ordinary class number (= reduced-form count, all forms
-    primitive at fundamental -D) and w half the number of roots of unity.
+    The textbook form has h(-D)/w in front, h the ordinary class number
+    and w = u/2 half the number of units; at fundamental -D every reduced
+    form is primitive and `hurwitz` weighs the one class at D = 4 by 1/2
+    and at D = 3 by 1/3, so h(-D)/w is exactly `hurwitz(D)`.
     """
     if f < 1:
         raise ValueError(f"need a positive scaling factor, got {f}")
     if D <= 0 or not is_fundamental(-D):
         raise HypothesisViolation(f"-{D} is not a fundamental discriminant")
-    h = len(reduced_forms(D))
-    w = unit_count(-D) // 2
     total = sum(mobius(d) * kronecker(-D, d) * sigma1(f // d) for d in divisors(f))
-    return Fraction(h, w) * total
+    return hurwitz(D) * total

@@ -14,7 +14,6 @@ from sc7core.arith import (
     kronecker_row,
     mobius,
     sigma1,
-    unit_count,
     val_decompose,
 )
 
@@ -141,21 +140,6 @@ def test_is_fundamental_brute():
                 expected = False
                 break
         assert is_fundamental(D) is expected
-
-
-def test_unit_count():
-    assert unit_count(-3) == 6
-    assert unit_count(-4) == 4
-    assert unit_count(-7) == 2
-    assert unit_count(-8) == 2
-    assert unit_count(-163) == 2
-    # non-maximal levels resolve to the field they sit in
-    assert unit_count(-12) == 6
-    assert unit_count(-16) == 4
-    with pytest.raises(ValueError):
-        unit_count(5)
-    with pytest.raises(ValueError):
-        unit_count(-5)
 
 
 def test_hypothesis_violation_is_value_error():

@@ -374,22 +374,81 @@ def test_class_number_count_check_survives_optimize():
 def test_cor2_refuses_a_character_row_too_large(monkeypatch, capsys):
     # D_n = 280000084 is ten times the limit; the refusal must come before
     # any sum is started
-    def unreachable(n):
+    from sc7core import eisenstein
+
+    def unreachable(D):
         raise AssertionError("character sum started")
 
-    monkeypatch.setattr(cli, "sc7_from_character_sum", unreachable)
+    monkeypatch.setattr(eisenstein, "dirichlet_hurwitz", unreachable)
     assert cli.main(["sc7", "10000001", "--route", "cor2"]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "theorem" in err
 
 
 def test_cor2_limit_refuses_only_a_character_sum(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "COR2_MAX_D", 308)
+    from sc7core import eisenstein
+
+    monkeypatch.setattr(eisenstein, "COR2_MAX_D", 308)
     assert json.loads(run_cli("sc7", "9", "--route", "cor2")[1])["D_n"] == 308
-    monkeypatch.setattr(cli, "COR2_MAX_D", 307)
+    monkeypatch.setattr(eisenstein, "COR2_MAX_D", 307)
     assert cli.main(["sc7", "9", "--route", "cor2"]) == 1
     assert "theorem" in capsys.readouterr().err
-    monkeypatch.setattr(cli, "COR2_MAX_D", 10)
+    monkeypatch.setattr(eisenstein, "COR2_MAX_D", 10)
     assert json.loads(run_cli("sc7", "7", "--route", "cor2")[1])["value"] == 0  # 7 mod 8
     assert cli.main(["sc7", "25", "--route", "cor2"]) == 2  # -756 is not fundamental
     assert cli.main(["sc7", "19", "--route", "cor2"]) == 2  # 5 mod 7
+
+
+def test_cor2_row_builds_no_reduced_forms(monkeypatch):
+    # H is read back from the character-sum count; only the vanishing
+    # case, which has no sum, lists the forms of -D_n for its H
+    from sc7core import quadforms
+
+    calls = []
+    real = quadforms.reduced_forms
+
+    def counted(D):
+        calls.append(D)
+        return real(D)
+
+    monkeypatch.setattr(quadforms, "reduced_forms", counted)
+    for n, H in ((9, 8), (11, 2), (13, 8)):  # 1 mod 4, 3 mod 8, 5 mod 8
+        code, out = run_cli("sc7", str(n), "--route", "cor2")
+        assert code == 0 and json.loads(out)["H"] == H
+    assert calls == []
+    code, out = run_cli("sc7", "15", "--route", "cor2")  # 7 mod 8
+    assert code == 0 and calls == [json.loads(out)["D_n"]]
+
+
+def test_theorem_and_cor2_rows_report_the_same_class_number():
+    code, out = run_cli("table", "--max", "2000", "--routes", "theorem,cor2",
+                        "--format", "json")
+    assert code == 0
+    rows: dict = {}
+    for line in out.splitlines():
+        rec = json.loads(line)
+        rows.setdefault(rec["n"], {})[rec["route"]] = rec
+    both = [r for r in rows.values() if len(r) == 2]
+    assert len(both) > 300
+    for r in both:
+        assert ((r["theorem"]["D_n"], r["theorem"]["H"])
+                == (r["cor2"]["D_n"], r["cor2"]["H"])), r
+
+
+def test_every_emitted_count_is_checked(monkeypatch, capsys):
+    # a negative coefficient from a series route never prints as a count
+    real = cli.eta_quotient_series
+
+    def corrupted(spec, prec):
+        coeffs = list(real(spec, prec).coeffs)
+        coeffs[11] = -1  # sc7(9) sits at q^11
+        return type(real(spec, 1))(coeffs)
+
+    monkeypatch.setattr(cli, "eta_quotient_series", corrupted)
+    assert cli.main(["sc7", "9", "--route", "eta"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: eta route at n=9 gives -1\n"
+    assert cli.main(["table", "--max", "20", "--routes", "eta"]) == 3
+    out, err = capsys.readouterr()
+    assert [line.split(",")[0] for line in out.splitlines()] == ["n", *map(str, range(9))]
+    assert err == "error: eta route at n=9 gives -1\n"

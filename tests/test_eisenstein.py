@@ -244,8 +244,9 @@ def test_class_number_routes_reject_inexact_counts(monkeypatch):
     with pytest.raises(InexactCount, match="gives 1/12"):
         sc7_from_class_number(9)
     assert sc7_from_class_number(7) == 0  # the vanishing case reads no H
+    monkeypatch.setattr(eisenstein, "hurwitz", lambda D: Fraction(-2))
     with pytest.raises(InexactCount):
-        sc7_from_class_number(11, Fraction(-2))
+        sc7_from_class_number(11)
     monkeypatch.undo()
 
     # a character sum of 1, as from chi(1) = 1 alone, makes the count -1/(4 D_n)
@@ -258,3 +259,15 @@ def test_class_number_routes_reject_inexact_counts(monkeypatch):
     monkeypatch.setattr(quadforms, "sigma1", lambda m: -m)
     with pytest.raises(InexactCount):
         sc7_scaled(11, 3)
+
+
+def test_character_sum_refuses_a_sum_too_long(monkeypatch):
+    # D_n = 280000084 is above COR2_MAX_D: the library refuses before any
+    # sum is started, and names the route that can answer
+    def unreachable(D):
+        raise AssertionError("character sum started")
+
+    monkeypatch.setattr(eisenstein, "dirichlet_hurwitz", unreachable)
+    with pytest.raises(ValueError, match="theorem") as exc:
+        sc7_from_character_sum(10000001)
+    assert not isinstance(exc.value, HypothesisViolation)

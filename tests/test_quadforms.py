@@ -4,7 +4,7 @@ from math import isqrt
 
 import pytest
 
-from sc7core.arith import HypothesisViolation, divisors, is_fundamental, kronecker_row, unit_count
+from sc7core.arith import HypothesisViolation, divisors, is_fundamental, kronecker_row
 from sc7core.quadforms import (
     BinaryQF,
     _sqrt_mod_prime,
@@ -224,8 +224,10 @@ def test_dirichlet_matches_forms():
 
 def _ref_dirichlet_hurwitz(D):
     """H(-D) = h(-D) / (u/2) with h(-D) = -(u/2D) * sum m chi(m) summed
-    over the sieved character row; a test oracle only."""
-    u = unit_count(-D)
+    over the sieved character row, u the unit count of Q(sqrt(-D)) at
+    fundamental -D; a test oracle only, which keeps the units that
+    dirichlet_hurwitz cancels."""
+    u = {3: 6, 4: 4}.get(D, 2)
     h = Fraction(-u * sum(m * v for m, v in enumerate(kronecker_row(-D, D))), 2 * D)
     return h / (u // 2)
 
