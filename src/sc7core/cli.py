@@ -30,7 +30,6 @@ import json
 import math
 import os
 import sys
-from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
 from .arith import HypothesisViolation, InexactCount, is_fundamental
@@ -57,8 +56,7 @@ class OutputRecord(NamedTuple):
 
     def json_line(self) -> str:
         rec = {"n": self.n, "route": self.route, "value": self.value}
-        for key, val in self.extras.items():
-            rec[key] = _json_value(val)
+        rec.update(self.extras)
         return json.dumps(rec)
 
     def csv_row(self) -> list:
@@ -67,15 +65,8 @@ class OutputRecord(NamedTuple):
             self.route,
             str(self.value),
             str(self.extras["D_n"]) if "D_n" in self.extras else "",
-            format_coefficient(self.extras["H"]) if "H" in self.extras else "",
+            str(self.extras["H"]) if "H" in self.extras else "",
         ]
-
-
-def _json_value(v):
-    """Integers as JSON numbers, non-integral rationals as "p/q" strings."""
-    if isinstance(v, Fraction):
-        return v.numerator if v.denominator == 1 else format_coefficient(v)
-    return v
 
 
 class Route(NamedTuple):
@@ -100,12 +91,17 @@ def _class_number_route(count: Callable[[int], int]) -> Route:
     already checked to be a non-negative integer.  single(n) reports D_n
     and H(-D_n) with it, reading H exactly back from the count, so no
     second class number is built.  At n = 7 mod 8 the count reads no class
-    number, and H comes from the reduced forms."""
+    number, and H comes from `hurwitz`; there D_n = 7 mod 8 is neither 3k^2
+    nor 4k^2, so H is an integer, and InexactCount is raised if it is not."""
     def single(n: int) -> tuple:
         value = count(n)
         d = discriminant_of(n)
-        H = hurwitz(d.D) if n % 8 == 7 else value * 2 ** (d.epsilon + 1)
-        return value, {"D_n": d.D, "H": H}
+        if n % 8 != 7:
+            return value, {"D_n": d.D, "H": value * 2 ** (d.epsilon + 1)}
+        H = hurwitz(d.D)
+        if H.denominator != 1:
+            raise InexactCount(f"class number H(-{d.D}) at n={n} is {format_coefficient(H)}")
+        return value, {"D_n": d.D, "H": H.numerator}
     return Route(read=lambda _, n: count(n), single=single)
 
 

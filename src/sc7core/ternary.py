@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 from .arith import InexactCount
 from .qseries import QSeries, _x_terms, format_coefficient
@@ -172,14 +172,19 @@ def sc7_from_reps(reps) -> int:
     """sc7(n) from the representation numbers (R1, R2, R3) of the three
     decomposition forms at n + 2: the weighted sum R1/14 - R2/7 + R3/14.
 
-    Raises InexactCount unless the sum is a non-negative integer, so a
-    failure of the decomposition can never pass as a count.
+    The sum is taken in integers over the common denominator of the
+    weights, which are read at each call.  Raises InexactCount unless it
+    is a non-negative integer, so a failure of the decomposition can never
+    pass as a count.
     """
-    value = sum((w * r for w, r in zip(DECOMPOSITION_WEIGHTS, reps)), Fraction(0))
-    if value.denominator != 1 or value < 0:
-        raise InexactCount(f"theta combination gives {format_coefficient(value)} "
+    weights = DECOMPOSITION_WEIGHTS
+    den = lcm(*(w.denominator for w in weights))
+    total = sum(w.numerator * (den // w.denominator) * r for w, r in zip(weights, reps))
+    value, rest = divmod(total, den)
+    if rest or value < 0:
+        raise InexactCount(f"theta combination gives {format_coefficient(Fraction(total, den))} "
                            f"for representation numbers {tuple(reps)}")
-    return int(value)
+    return value
 
 
 def sc7_from_thetas(n: int) -> int:

@@ -328,6 +328,20 @@ def test_class_number_route_rejects_a_non_integral_count(monkeypatch, capsys):
         assert err.startswith("error: class number route at n=") and "1/12" in err
 
 
+def test_vanishing_row_reports_an_integral_class_number(monkeypatch, capsys):
+    # at n = 7 mod 8 the count reads no class number and H comes from
+    # hurwitz(D_n); a non-integral H is refused, never printed as "p/q"
+    from fractions import Fraction
+
+    code, out = run_cli("sc7", "15", "--route", "theorem")
+    assert code == 0 and out == '{"n": 15, "route": "theorem", "value": 0, "D_n": 119, "H": 10}\n'
+    monkeypatch.setattr(cli, "hurwitz", lambda D: Fraction(1, 3))
+    for route in ("theorem", "cor2"):
+        assert cli.main(["sc7", "15", "--route", route]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: class number H(-119) at n=15 is 1/3")
+
+
 def test_theorem_row_computes_the_class_number_once(monkeypatch):
     from sc7core import eisenstein
 
@@ -401,17 +415,20 @@ def test_cor2_limit_refuses_only_a_character_sum(monkeypatch, capsys):
 
 def test_cor2_row_builds_no_reduced_forms(monkeypatch):
     # H is read back from the character-sum count; only the vanishing
-    # case, which has no sum, lists the forms of -D_n for its H
-    from sc7core import quadforms
+    # case, which has no sum, counts the forms of -D_n for its H
+    from sc7core import eisenstein, quadforms
 
     calls = []
-    real = quadforms.reduced_forms
 
-    def counted(D):
-        calls.append(D)
-        return real(D)
+    def counted(real):
+        def wrapper(D):
+            calls.append(D)
+            return real(D)
+        return wrapper
 
-    monkeypatch.setattr(quadforms, "reduced_forms", counted)
+    for module in (cli, eisenstein, quadforms):
+        monkeypatch.setattr(module, "hurwitz", counted(module.hurwitz))
+    monkeypatch.setattr(quadforms, "reduced_forms", counted(quadforms.reduced_forms))
     for n, H in ((9, 8), (11, 2), (13, 8)):  # 1 mod 4, 3 mod 8, 5 mod 8
         code, out = run_cli("sc7", str(n), "--route", "cor2")
         assert code == 0 and json.loads(out)["H"] == H

@@ -7,6 +7,7 @@ import pytest
 from sc7core.arith import HypothesisViolation, divisors, is_fundamental, kronecker_row
 from sc7core.quadforms import (
     BinaryQF,
+    _roots_mod_prime_power,
     _sqrt_mod_prime,
     dirichlet_hurwitz,
     hurwitz,
@@ -47,7 +48,7 @@ BRANCH_D = (
     # high powers of 2 in D, and D = 7 mod 8, where -D has roots mod
     # every power of 2
     2**20, 3 * 2**16, 7 * 2**15, 4 * 2**11 * 5, 2**17 - 1,
-    # odd p with p^2 | D, so the roots mod p^k are found by trying residues
+    # odd p with p^2 | D, so the roots mod p^k are lifted from p^(k-1)
     9 * 49 * 3, 7**3, 7**3 * 5, 3**9, 5**4 * 3 * 4, 3**4 * 7**3 * 4, 11**4 * 3,
     # -D a residue mod p = 1 mod 8 whose Tonelli-Shanks run takes the most
     # rounds (s = 4, 3, 5, 8): p = 17, 41, 97, 257 alone, then all four
@@ -66,6 +67,71 @@ def test_reduced_forms_matches_reference_below_3000():
 def test_reduced_forms_matches_reference_on_each_branch():
     for D in BRANCH_D:
         assert reduced_forms(D) == _ref_reduced_forms(D), D
+
+
+def _ref_hurwitz(D):
+    """H(-D) as the weighted count of the listed reduced forms: 1/2 for
+    (a, 0, a), 1/3 for (a, a, a), 1 for every other; a test oracle only."""
+    forms = reduced_forms(D)
+    halves = sum(1 for f in forms if f.b == 0 and f.a == f.c)
+    thirds = sum(1 for f in forms if f.a == f.b == f.c)
+    return Fraction(6 * len(forms) - 3 * halves - 4 * thirds, 6)
+
+
+# D that send hurwitz down each of its branches.  The forms (k, 0, k) and
+# (k, k, k) of D = 4k^2 and 3k^2 carry the weights, and at D = 4k^2 the
+# a = k is the first to be listed, not counted; D = 4k^2 - 1 and 4k^2 + 4
+# put k just inside the listed tail and just inside the counted head.
+# Powers of 2 and of 7 in D give N(2^j) and N(7^k) from lifted roots.
+HURWITZ_CASES = {
+    "3k^2": [3 * k * k for k in (1, 2, 3, 30, 210, 1001)],
+    "4k^2": [4 * k * k for k in (1, 2, 3, 30, 210, 1001)],
+    "4k^2 edges": [4 * k * k + e for k in (2, 30, 210, 1001) for e in (-1, 4)],
+    "2^8 | D": [2**8 * 3, 2**8 * 7, 2**8 * 4095, 2**12 * 11, 2**20, 2**26],
+    "7^3 | D": [7**3, 7**3 * 5, 7**3 * 12, 7**5 * 4, 3**4 * 7**3 * 4, 7**7],
+}
+
+
+@pytest.mark.parametrize("branch", HURWITZ_CASES)
+def test_hurwitz_matches_weighted_forms_on_each_branch(branch):
+    for D in HURWITZ_CASES[branch]:
+        assert hurwitz(D) == _ref_hurwitz(D), D
+
+
+def test_hurwitz_matches_weighted_forms_below_5000():
+    for D in range(3, 5001):
+        if D % 4 in (0, 3):
+            assert hurwitz(D) == _ref_hurwitz(D), D
+
+
+def test_hurwitz_matches_weighted_forms_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=40, derandomize=True, deadline=None)
+    @hypothesis.given(st.integers(3, 10**8).filter(lambda D: D % 4 in (0, 3)))
+    def check(D):
+        assert hurwitz(D) == _ref_hurwitz(D)
+
+    check()
+
+
+def test_lifted_roots_match_a_scan():
+    # roots mod 2^j for odd D in each class mod 8 that is a discriminant,
+    # for 2^2 .. 2^12 dividing D, and mod p^k for odd p | D, against
+    # trying every residue
+    def scan(D, q):
+        return [x for x in range(q) if (x * x + D) % q == 0]
+
+    for D in (3, 7, 11, 15, 4, 8, 12, 16, 20, 28, 2**8 * 3, 2**10 * 7, 2**12, 2**12 * 5):
+        roots = {1: [0]}
+        for j in range(13):
+            assert sorted(_roots_mod_prime_power(D, 2, 2**j, roots)) == scan(D, 2**j), (D, j)
+    for D, p, kmax in ((3**9, 3, 8), (7**3 * 5, 7, 5), (7**3 * 12, 3, 6),
+                       (5**4 * 3 * 4, 5, 5), (11**4 * 3, 11, 4)):
+        roots = {1: [0]}
+        for k in range(kmax + 1):
+            assert sorted(_roots_mod_prime_power(D, p, p**k, roots)) == scan(D, p**k), (D, p, k)
 
 
 def test_sqrt_mod_prime():
