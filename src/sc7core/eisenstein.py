@@ -237,10 +237,10 @@ def sc7_from_class_number(n: int) -> int:
     return _count_from_H(d, H, f"class number route at n={n} with H(-{d.D}) = {H}")
 
 
-# The character sum costs O(D_n) time and memory: n = 1000001 (D_n = 2.8e7)
-# takes about 2 s and 185 MB peak RSS on one core of a 2-vCPU VM, and the
-# cost grows in proportion to D_n.  A larger D_n is refused; the reduced
-# forms of `sc7_from_class_number` answer n = 10^9 + 1 in under a second.
+# The character sum costs O(D_n) time: n = 1000001 (D_n = 2.8e7) takes
+# 0.3-0.4 s and 22 MB peak RSS on one core of a 2-vCPU VM, and the time
+# grows in proportion to D_n.  A larger D_n is refused; the reduced forms
+# of `sc7_from_class_number` answer n = 10^9 + 1 in under a second.
 COR2_MAX_D = 3 * 10**7
 
 

@@ -41,29 +41,35 @@ D = 2.8e8 (the theorem route at n = 10^7 + 1), against 3.5, 13 and 35 ms
 for `reduced_forms` at the same D.
 
 `dirichlet_hurwitz(D)` evaluates the character sum without a Python step
-per m: chi_{-D} is a product of periodic factors, the Legendre symbol
-(m/p) for each odd p | D and a character mod 4 or 8 for the 2-part.  Each
-factor's residue table is filled once by C-level builtins, tiled to
-length D by sequence repetition, and the tiles are combined as one
-integer per mask, a byte per m; `compress` then picks out the m where the
-character is -1, the only ones summed one by one.  It costs O(D) byte
-operations and about 5 bytes of memory per unit of D: on the same VM,
-D = 28000084 (`sc7 1000001 --route cor2`) takes 1.7-2.1 s and 185 MB
-peak RSS.  The smallest-prime-factor sieve `arith.kronecker_row` is its
-test oracle.
+per m.  The half-period form of the same class number formula (Cohen,
+section 5.3) gives sum_{m=1}^{D} chi_{-D}(m) * m = -D * S / (2 - chi(2))
+with S = sum_{0 <= m < D/2} chi_{-D}(m), so no m is weighted by m.
+chi_{-D} is a product of periodic factors, the Legendre symbol (m/p) for
+each odd p | D and a character mod 4 or 8 for the 2-part; each factor's
+residue table is filled once by C-level builtins and tiled once, and S
+is read over the first (D+1)//2 residues in blocks of 2^16, each block
+one slice per factor packed into one integer per mask, a byte per m, and
+counted by two popcounts.  It costs O(D) byte operations, of which the
+O(p) table of a large odd prime p | D can be most, and O(2^16 + p) bytes
+of memory for p the largest: on one core of a 2-vCPU VM (Python 3.11,
+medians) about 0.2 ms at D = 3e4, 2 ms at D = 2.8e5 and 0.17-0.23 s at
+D = 28000084 = 4 * 7 * 1000003, where `sc7 1000001 --route cor2` takes
+0.3-0.4 s and 22 MB peak RSS.  The full-period sum it replaced is a test oracle, and
+so is the smallest-prime-factor sieve `arith.kronecker_row`.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from fractions import Fraction
-from itertools import accumulate, compress, repeat
+from itertools import accumulate, repeat
 from math import isqrt, prod
 from operator import mod, setitem
 from typing import NamedTuple
 
 from .arith import (
     HypothesisViolation,
+    InexactCount,
     factorize,
     is_fundamental,
     kronecker,
@@ -315,23 +321,59 @@ def _character_tables(D: int) -> list[tuple[bytes, bytes]]:
     return tables
 
 
+# The half period is read in blocks of this many residues, so the memory
+# of the character sum stays bounded as D grows.
+_BLOCK = 1 << 16
+
+
+def _half_character_sum(D: int) -> int:
+    """S = sum_{0 <= m < D/2} chi_{-D}(m) for fundamental -D.
+
+    The first (D+1)//2 residues are read in blocks of at most _BLOCK.
+    Each factor's tables are tiled once, to the block length, plus one
+    period when there is more than one block, so the block from s on is
+    one slice at offset s mod p; a half period that fits in one block is
+    tiled only to cover itself.  The slices are packed into one integer
+    per mask, a byte per m: the signs multiply by XOR and the zeros by OR.
+    A block adds the count of m with chi(m) != 0 less twice the count of
+    m with chi(m) = -1, two popcounts.
+    """
+    half = (D + 1) // 2
+    step = min(half, _BLOCK)
+    tiled = []
+    for signs, zeros in _character_tables(D):
+        p = len(signs)
+        reps = -(-step // p) + (step < half)
+        tiled.append((p, memoryview(signs * reps), memoryview(zeros * reps)))
+    total = 0
+    for s in range(0, half, step):
+        n = min(step, half - s)
+        sign = zero = 0
+        for p, signs, zeros in tiled:
+            o = s % p
+            sign ^= int.from_bytes(signs[o:o + n], "little")
+            zero |= int.from_bytes(zeros[o:o + n], "little")
+        total += n - zero.bit_count() - 2 * (sign & ~zero).bit_count()
+    return total
+
+
 def _character_moment(D: int) -> int:
     """sum_{m=1}^{D} chi_{-D}(m) * m for fundamental -D.
 
-    Each factor's tables are tiled to length D, over m = 0..D-1, and packed
-    into one integer per mask, a byte per m: the signs multiply by XOR and
-    the zeros by OR.  The sum is that over the m with chi(m) != 0 less
-    twice that over the m with chi(m) = -1; `compress` picks the latter
-    out of range(D), and the former, m coprime to D, pair off as m and
-    D - m, so they add up to D/2 each.  chi(D) = 0: m = D adds nothing.
+    The class number has a full-period and a half-period form,
+    h(-D) = -(u/2D) * sum_{m=1}^{D} chi(m) * m
+          = (u / (2 (2 - chi(2)))) * sum_{0 <= m < D/2} chi(m)
+    (Cohen, section 5.3), so the moment is -D * S / (2 - chi(2)) with S
+    the half sum of `_half_character_sum`, which weighs no m by m.  This
+    holds as it stands at D = 3 and D = 4.  The division must be exact:
+    InexactCount is raised, naming D, if it is not.
     """
-    sign = zero = 0
-    for signs, zeros in _character_tables(D):
-        sign ^= int.from_bytes(signs * (D // len(signs)), "little")
-        zero |= int.from_bytes(zeros * (D // len(zeros)), "little")
-    live = int.from_bytes(b"\x01" * D, "little") ^ zero  # chi(m) != 0
-    minus = (sign & live).to_bytes(D, "little")
-    return D * live.bit_count() // 2 - 2 * sum(compress(range(D), minus))
+    scaled = -D * _half_character_sum(D)
+    divisor = 2 - kronecker(-D, 2)
+    if scaled % divisor:
+        raise InexactCount(f"half character sum at D={D} gives -D*S = {scaled}, "
+                           f"not a multiple of 2 - chi(2) = {divisor}")
+    return scaled // divisor
 
 
 def dirichlet_hurwitz(D: int) -> Fraction:
@@ -340,13 +382,14 @@ def dirichlet_hurwitz(D: int) -> Fraction:
     This is h(-D) = -(u/2D) * sum divided by u/2, with u the unit count
     of Q(sqrt(-D)), which cancels; D = 3 and D = 4 need no special case.
 
-    The sum runs no Python step per m: chi_{-D} is the product of the
-    Legendre symbols of the odd primes of D and a character mod 4 or 8,
-    each a residue table filled by C-level builtins in O(p) and tiled to
-    length D (see `_character_moment`).  Cost: O(D) byte operations and
-    about 5 bytes of memory per unit of D at the peak; single runs on one
-    core of a 2-vCPU VM (Python 3.11) take 13-16 ms at D = 100003 and
-    145-165 ms at D = 1000003.
+    The sum runs no Python step per m: it is -D * S / (2 - chi(2)), with
+    S the sum of chi_{-D} over the half period m < D/2, read in blocks of
+    2^16 residues by two popcounts each from the tiled tables of the
+    Legendre symbols of the odd primes of D and a character mod 4 or 8
+    (see `_character_moment`).  Cost: O(D) byte operations, dominated at
+    prime D by the O(D) Legendre table; on one core of a 2-vCPU VM
+    (Python 3.11, medians) 6-8 ms at D = 100003, 70-100 ms at
+    D = 1000003 and 0.17-0.23 s at D = 28000084.
     """
     if D <= 0 or not is_fundamental(-D):
         raise HypothesisViolation(f"-{D} is not a fundamental discriminant")

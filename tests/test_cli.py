@@ -370,7 +370,8 @@ sys.exit(cli.main(["sc7", "9", "--route", "theorem"]))
 """
 
 
-def test_class_number_count_check_survives_optimize():
+def _run_optimized(code):
+    """Run `code` in a fresh `python -O` that imports this sc7core."""
     from pathlib import Path
 
     import sc7core
@@ -378,11 +379,45 @@ def test_class_number_count_check_survives_optimize():
     src = str(Path(sc7core.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    proc = subprocess.run([sys.executable, "-O", "-c", FAKE_CLASS_NUMBER],
+    return subprocess.run([sys.executable, "-O", "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def test_class_number_count_check_survives_optimize():
+    proc = _run_optimized(FAKE_CLASS_NUMBER)
     assert proc.stdout == "1\n"  # assert statements are stripped in this run
     assert proc.returncode == 3
     assert proc.stderr.startswith("error: class number route at n=9")
+
+
+def test_cor2_refuses_an_inexact_half_sum(monkeypatch, capsys):
+    # at n = 11, D_n = 91 and chi(2) = -1, so -D*S must be a multiple of
+    # 3; a half sum off by one leaves a remainder: exit 3 and no count
+    from sc7core import quadforms
+
+    real = quadforms._half_character_sum
+    monkeypatch.setattr(quadforms, "_half_character_sum", lambda D: real(D) + 1)
+    assert cli.main(["sc7", "11", "--route", "cor2"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: half character sum at D=91")
+    assert err.rstrip().endswith("not a multiple of 2 - chi(2) = 3")
+
+
+FAKE_HALF_SUM = """
+import sys
+from sc7core import cli, quadforms
+print(sys.flags.optimize)
+real = quadforms._half_character_sum
+quadforms._half_character_sum = lambda D: real(D) + 1
+sys.exit(cli.main(["sc7", "11", "--route", "cor2"]))
+"""
+
+
+def test_half_sum_division_check_survives_optimize():
+    proc = _run_optimized(FAKE_HALF_SUM)
+    assert proc.stdout == "1\n"  # assert statements are stripped in this run
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("error: half character sum at D=91")
 
 
 def test_cor2_refuses_a_character_row_too_large(monkeypatch, capsys):

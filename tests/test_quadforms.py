@@ -1,12 +1,16 @@
 import random
 from fractions import Fraction
+from itertools import compress
 from math import isqrt
 
 import pytest
 
+from sc7core import quadforms
 from sc7core.arith import HypothesisViolation, divisors, is_fundamental, kronecker_row
 from sc7core.quadforms import (
     BinaryQF,
+    _character_moment,
+    _character_tables,
     _roots_mod_prime_power,
     _sqrt_mod_prime,
     dirichlet_hurwitz,
@@ -302,6 +306,53 @@ def test_dirichlet_hurwitz_matches_character_row():
     for D in range(3, 3000):
         if is_fundamental(-D):
             assert dirichlet_hurwitz(D) == _ref_dirichlet_hurwitz(D), D
+
+
+def _ref_character_moment(D):
+    """The full-period sum that the half-period popcounts replaced: each
+    factor's tables tiled to length D and packed into one integer per
+    mask, a byte per m; the m coprime to D add D/2 in pairs, and
+    `compress` picks out the m with chi(m) = -1, summed one by one.  A
+    test oracle only."""
+    sign = zero = 0
+    for signs, zeros in _character_tables(D):
+        sign ^= int.from_bytes(signs * (D // len(signs)), "little")
+        zero |= int.from_bytes(zeros * (D // len(zeros)), "little")
+    live = int.from_bytes(b"\x01" * D, "little") ^ zero
+    minus = (sign & live).to_bytes(D, "little")
+    return D * live.bit_count() // 2 - 2 * sum(compress(range(D), minus))
+
+
+def test_character_moment_matches_full_period_below_3000():
+    for D in range(3, 3000):
+        if is_fundamental(-D):
+            assert _character_moment(D) == _ref_character_moment(D), D
+
+
+def test_character_moment_matches_full_period_at_block_edges():
+    # half periods (D+1)//2 from 2^16 - 11 to 2^16 + 10 and around 2^17:
+    # one full block, one block and a few residues, two blocks and a few
+    edges = [D for h in (2**16, 2**17) for D in range(2 * h - 22, 2 * h + 22)
+             if is_fundamental(-D)]
+    assert {2**16 - 4, 2**16, 2**16 + 4, 2**17 + 2} <= {(D + 1) // 2 for D in edges}
+    for D in edges:
+        assert _character_moment(D) == _ref_character_moment(D), D
+
+
+def test_character_moment_matches_full_period_in_small_blocks(monkeypatch):
+    # blocks of 8 residues: factor periods both shorter and longer than a
+    # block, and a last block of every length
+    monkeypatch.setattr(quadforms, "_BLOCK", 8)
+    for D in range(3, 400):
+        if is_fundamental(-D):
+            assert _character_moment(D) == _ref_character_moment(D), D
+
+
+@pytest.mark.parametrize("D", [262147, 262148, 262184, 262168])
+def test_character_moment_matches_full_period_past_2_18(D):
+    # one D > 2^18 for each 2-part of chi_{-D}: none, -4, -8 and 8
+    assert is_fundamental(-D)
+    assert _character_moment(D) == _ref_character_moment(D)
 
 
 # H(-D) at fundamental -D, by the 2-part of chi_{-D}: none (D odd), the
