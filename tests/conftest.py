@@ -39,6 +39,6 @@ def theta_tables():
 
 @pytest.fixture(scope="session")
 def enum_counts():
-    """Enumerated counts for n <= 300; the slow route everything else is
-    measured against."""
+    """Enumerated counts for n <= 300: the chain product of `sc_count`,
+    the route closest to the definition (about 30 ms for all 301)."""
     return _timed("enum_counts", lambda: [sc_count(n, 7) for n in range(301)])

@@ -1,6 +1,7 @@
 import pytest
 
 from sc7core import partitions
+from sc7core.eisenstein import sc7_from_class_number
 from sc7core.partitions import (
     _beta_is_t_core,
     c_count,
@@ -74,12 +75,18 @@ def test_t_core_invariant_under_conjugation():
 
 
 def test_distinct_odd_partitions_matches_filter():
+    # an even cap admits only the odd parts below it
+    assert list(distinct_odd_partitions(10, 8)) == [(7, 3)]
     for n in range(26):
         got = list(distinct_odd_partitions(n))
         assert len(set(got)) == len(got)
         brute = [p for p in partitions_of(n)
                  if all(x % 2 for x in p) and len(set(p)) == len(p)]
         assert sorted(got) == sorted(brute)
+        for max_part in range(n + 2):
+            got = list(distinct_odd_partitions(n, max_part))
+            assert sorted(got) == sorted(p for p in brute
+                                         if not p or p[0] <= max_part), (n, max_part)
 
 
 def test_distinct_odd_partitions_rejects_negative():
@@ -124,7 +131,7 @@ def test_self_conjugate_partitions_matches_filter():
 
 
 def test_sc_count_matches_naive_filter():
-    # the pruned walker against the definition it is supposed to compute
+    # the chain product against the definition it is supposed to compute
     for n in range(41):
         scs = [p for p in partitions_of(n) if conjugate(p) == p]
         for t in (2, 3, 5, 7, 11):
@@ -229,6 +236,12 @@ def test_sc_count_matches_series_property():
     check()
 
 
+def test_sc_count_matches_class_number_above_property_range():
+    # three n = 1 (mod 8) and one n = 3 (mod 8), none = 5 (mod 7)
+    for n, expected in ((8001, 56), (30001, 68), (100001, 88), (100003, 112)):
+        assert sc_count(n, 7) == sc7_from_class_number(n) == expected, n
+
+
 def test_sc_count_leaves_every_leaf_to_the_hook_test(monkeypatch):
     calls = []
 
@@ -238,7 +251,8 @@ def test_sc_count_leaves_every_leaf_to_the_hook_test(monkeypatch):
 
     monkeypatch.setattr(partitions, "_beta_is_t_core", counting)
     assert sc_count(2923, 7) == 25
-    assert len(calls) >= 25
+    # every union of full chains is a t-core, so no candidate is rejected
+    assert len(calls) == 25
 
     monkeypatch.setattr(partitions, "_beta_is_t_core", lambda p, t: False)
     for n in range(1, 51):
