@@ -46,8 +46,8 @@ print(f"  sc7(11) = H/2 = {sc7_from_class_number(11)}")
 # The same number can be had without ever listing forms: the finite
 # character sum -1/(2*91) * sum of kronecker(-91, m) * m over m < 91,
 # the 2 being the same branch denominator as above.  It is evaluated
-# over half the period: the sum equals -91 * S / (2 - kronecker(-91, 2))
-# = -91 * S / 3, with S the sum of kronecker(-91, m) over m < 91/2.
+# over half the period: H(-91) = S / (2 - kronecker(-91, 2)) = S / 3,
+# with S the sum of kronecker(-91, m) over m < 91/2.
 assert dirichlet_hurwitz(91) == hurwitz(91)
 assert sc7_from_character_sum(11) == 1
 print(f"  character sum route: {sc7_from_character_sum(11)}")

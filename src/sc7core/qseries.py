@@ -200,14 +200,17 @@ class EtaQuotientSpec:
     Each eta factor contributes a global prefactor q^(scale*exp/24); the
     net power must come out a non-negative integer for the product to be
     a plain power series, and that is asserted at construction (a
-    fractional net power is a hard error, not a truncation).
+    fractional net power is a hard error, not a truncation).  Every scale
+    and exponent must be an int; nothing is coerced.
     """
 
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "factors", tuple((int(s), int(e)) for s, e in self.factors))
+        object.__setattr__(self, "factors", tuple((s, e) for s, e in self.factors))
         for scale, exponent in self.factors:
+            if type(scale) is not int or type(exponent) is not int:
+                raise ValueError(f"eta factor needs int scale and exponent, got {(scale, exponent)!r}")
             if scale < 1:
                 raise ValueError(f"eta argument scale must be positive, got {scale}")
             if exponent == 0:

@@ -7,11 +7,12 @@ independent evaluations are provided, the reduced-form count (`hurwitz`)
 and the Dirichlet character sum (`dirichlet_hurwitz`), plus the
 multiplicative scaling from a fundamental level (`hurwitz_scaled`).
 
-The character-sum formulas need no unit count.  For fundamental -D with
-u units in Q(sqrt(-D)), h(-D) = -(u/2D) * sum_{m=1}^{D} chi_{-D}(m) * m
+The character-sum formula needs no unit count.  For fundamental -D with
+u units in Q(sqrt(-D)), the half-period class number formula is
+h(-D) = (u / (2 (2 - chi(2)))) * S with S = sum_{0 <= m < D/2} chi_{-D}(m),
 and H(-D) = h(-D) / (u/2), so u cancels:
 
-    H(-D) = -(1/D) * sum_{m=1}^{D} chi_{-D}(m) * m
+    H(-D) = S / (2 - chi(2))
 
 (Cohen, A Course in Computational Algebraic Number Theory, GTM 138,
 sections 5.3-5.4).  At fundamental -D every form is primitive, and the
@@ -20,10 +21,11 @@ so the weighted form count `hurwitz(D)` is h(-D)/(u/2) as well.
 
 Both form routines sweep a <= sqrt(D/3) and find the b of each a as the
 square roots of -D mod 4a (Cohen, section 5.3); this is exact and needs
-no GRH.  The roots mod each prime power come from Tonelli-Shanks and
-Hensel lifting for odd p not dividing D, and for p = 2 and p | D by
-lifting the roots mod the next lower power; each prime power is solved
-once per call.
+no GRH.  The roots mod each prime power are solved once per call, by
+one rule: Tonelli-Shanks at q = p for odd p not dividing D, and at every
+other q a lift of the roots mod q/p, keeping those of the p residues
+x + t*q/p that still solve the congruence.  Since q <= sqrt(D/3), a lift
+for odd p not dividing D (q = p^k, k >= 2) needs p <= (D/3)^(1/4).
 
 `reduced_forms(D)` lists every form: for each a the roots mod 4a are
 joined by the Chinese remainder theorem and read off (`_forms`).  It
@@ -40,10 +42,7 @@ sweep, where c = a and the weights 1/2 and 1/3 can occur, are listed by
 D = 2.8e8 (the theorem route at n = 10^7 + 1), against 3.5, 13 and 35 ms
 for `reduced_forms` at the same D.
 
-`dirichlet_hurwitz(D)` evaluates the character sum without a Python step
-per m.  The half-period form of the same class number formula (Cohen,
-section 5.3) gives sum_{m=1}^{D} chi_{-D}(m) * m = -D * S / (2 - chi(2))
-with S = sum_{0 <= m < D/2} chi_{-D}(m), so no m is weighted by m.
+`dirichlet_hurwitz(D)` evaluates S without a Python step per m.
 chi_{-D} is a product of periodic factors, the Legendre symbol (m/p) for
 each odd p | D and a character mod 4 or 8 for the 2-part; each factor's
 residue table is filled once by C-level builtins and tiled once, and S
@@ -54,8 +53,7 @@ O(p) table of a large odd prime p | D can be most, and O(2^16 + p) bytes
 of memory for p the largest: on one core of a 2-vCPU VM (Python 3.11,
 medians) about 0.2 ms at D = 3e4, 2 ms at D = 2.8e5 and 0.17-0.23 s at
 D = 28000084 = 4 * 7 * 1000003, where `sc7 1000001 --route cor2` takes
-0.3-0.4 s and 22 MB peak RSS.  The full-period sum it replaced is a test oracle, and
-so is the smallest-prime-factor sieve `arith.kronecker_row`.
+0.3-0.4 s and 22 MB peak RSS.
 """
 
 from __future__ import annotations
@@ -123,30 +121,24 @@ def _sqrt_mod_prime(n: int, p: int) -> int:
 def _roots_mod_prime_power(D: int, p: int, q: int, roots: dict) -> list[int]:
     """All x in [0, q) with x^2 = -D mod q, for q a power of the prime p.
 
-    `roots` caches the answer by q and must hold {1: [0]}.  For odd p not
-    dividing D, Tonelli-Shanks and Hensel lifting give the two roots.  For
-    p = 2 and for p | D the roots mod q are lifted from those mod q/p: each
-    x there stands for the p residues x + t*q/p mod q, and those that
-    still solve the congruence are kept, so the work is p per root mod
-    q/p, not q.
+    `roots` caches the answer by q and must hold {1: [0]}.  At q = p for
+    odd p not dividing D, Tonelli-Shanks gives the two roots, or none.
+    Every other q is lifted from q/p: each root x mod q/p stands for the
+    p residues x + t*q/p mod q, and those that still solve the congruence
+    are kept, p steps per root mod q/p.  The forms ask only for q <= a <=
+    sqrt(D/3), so a lift for odd p not dividing D (q = p^k, k >= 2) needs
+    p <= (D/3)^(1/4).
     """
     xs = roots.get(q)
     if xs is not None:
         return xs
-    if p == 2 or D % p == 0:
+    if q == p and p != 2 and D % p:
+        n = -D % p
+        xs = [x := _sqrt_mod_prime(n, p), p - x] if pow(n, (p - 1) // 2, p) == 1 else []
+    else:
         r = q // p
         xs = [y for x in _roots_mod_prime_power(D, p, r, roots)
               for y in range(x, q, r) if (y * y + D) % q == 0]
-    else:
-        n = -D % p
-        if pow(n, (p - 1) // 2, p) != 1:
-            xs = []
-        else:
-            x, pj = _sqrt_mod_prime(n, p), p
-            while pj < q:  # Hensel: 2x is a unit mod p, so each root lifts uniquely
-                pj *= p
-                x = (x - (x * x + D) * pow(2 * x, -1, pj)) % pj
-            xs = [x, q - x]
     roots[q] = xs
     return xs
 
@@ -357,43 +349,26 @@ def _half_character_sum(D: int) -> int:
     return total
 
 
-def _character_moment(D: int) -> int:
-    """sum_{m=1}^{D} chi_{-D}(m) * m for fundamental -D.
-
-    The class number has a full-period and a half-period form,
-    h(-D) = -(u/2D) * sum_{m=1}^{D} chi(m) * m
-          = (u / (2 (2 - chi(2)))) * sum_{0 <= m < D/2} chi(m)
-    (Cohen, section 5.3), so the moment is -D * S / (2 - chi(2)) with S
-    the half sum of `_half_character_sum`, which weighs no m by m.  This
-    holds as it stands at D = 3 and D = 4.  The division must be exact:
-    InexactCount is raised, naming D, if it is not.
-    """
-    scaled = -D * _half_character_sum(D)
-    divisor = 2 - kronecker(-D, 2)
-    if scaled % divisor:
-        raise InexactCount(f"half character sum at D={D} gives -D*S = {scaled}, "
-                           f"not a multiple of 2 - chi(2) = {divisor}")
-    return scaled // divisor
-
-
 def dirichlet_hurwitz(D: int) -> Fraction:
-    """H(-D) = -(1/D) * sum_{m=1}^{D} chi_{-D}(m) * m for fundamental -D.
+    """H(-D) = S / (2 - chi(2)) for fundamental -D, with S the sum of
+    chi_{-D}(m) over the half period 0 <= m < D/2 (`_half_character_sum`).
 
-    This is h(-D) = -(u/2D) * sum divided by u/2, with u the unit count
-    of Q(sqrt(-D)), which cancels; D = 3 and D = 4 need no special case.
-
-    The sum runs no Python step per m: it is -D * S / (2 - chi(2)), with
-    S the sum of chi_{-D} over the half period m < D/2, read in blocks of
-    2^16 residues by two popcounts each from the tiled tables of the
-    Legendre symbols of the odd primes of D and a character mod 4 or 8
-    (see `_character_moment`).  Cost: O(D) byte operations, dominated at
-    prime D by the O(D) Legendre table; on one core of a 2-vCPU VM
-    (Python 3.11, medians) 6-8 ms at D = 100003, 70-100 ms at
+    The unit count cancels, so this holds as it stands at D = 3 and
+    D = 4, where H is 1/3 and 1/2.  For D > 4, H(-D) = h(-D) is an
+    integer, so S must be a multiple of 2 - chi(2): InexactCount is
+    raised, naming D, if it is not.  Cost: O(D) byte operations,
+    dominated at prime D by the O(D) Legendre table; on one core of a
+    2-vCPU VM (Python 3.11, medians) 6-8 ms at D = 100003, 70-100 ms at
     D = 1000003 and 0.17-0.23 s at D = 28000084.
     """
     if D <= 0 or not is_fundamental(-D):
         raise HypothesisViolation(f"-{D} is not a fundamental discriminant")
-    return Fraction(-_character_moment(D), D)
+    S = _half_character_sum(D)
+    divisor = 2 - kronecker(-D, 2)
+    if D > 4 and S % divisor:
+        raise InexactCount(f"half character sum at D={D} gives S = {S}, "
+                           f"not a multiple of 2 - chi(2) = {divisor}")
+    return Fraction(S, divisor)
 
 
 def hurwitz_scaled(D: int, f: int) -> Fraction:

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sc7core import eisenstein, quadforms
-from sc7core.arith import HypothesisViolation, InexactCount, is_fundamental
+from sc7core.arith import HypothesisViolation, InexactCount, is_fundamental, kronecker
 from sc7core.eisenstein import (
     Discriminant,
     TwoAdicConvention,
@@ -219,6 +219,25 @@ def test_sc7_scaled_examples(qs7):
         assert sc7_scaled(n, f) == qs7[(n + 2) * f * f - 2]
 
 
+def test_scaled_count_in_printed_form():
+    # sc7((n+2) p^(2k) - 2) = sc7(n) * (1 + (p^(k+1) - p)/(p - 1)
+    #   - (p^k - 1)/(p - 1) * (-D_n/p)) at every odd n <= 120 with
+    # n != 5 mod 7 and -D_n fundamental: 336 cases, scaled n up to 3284513
+    chis = []
+    for n in range(1, 121, 2):
+        D = discriminant_of(n).D
+        if n % 7 == 5 or not is_fundamental(-D):
+            continue
+        for p in (3, 5, 11, 13):
+            chi = kronecker(-D, p)
+            for k in (1, 2):
+                factor = 1 + (p**(k + 1) - p) // (p - 1) - (p**k - 1) // (p - 1) * chi
+                scaled = sc7_from_class_number((n + 2) * p**(2 * k) - 2)
+                assert scaled == sc7_from_class_number(n) * factor == sc7_scaled(n, p**k), (n, p, k)
+                chis.append(chi)
+    assert [chis.count(c) for c in (-1, 0, 1)] == [136, 46, 154]
+
+
 def test_sc7_scaled_rejects():
     with pytest.raises(HypothesisViolation):
         sc7_scaled(11, 2)  # even f
@@ -249,9 +268,10 @@ def test_class_number_routes_reject_inexact_counts(monkeypatch):
         sc7_from_class_number(11)
     monkeypatch.undo()
 
-    # a character sum of 1, as from chi(1) = 1 alone, makes the count -1/(4 D_n)
-    monkeypatch.setattr(quadforms, "_character_moment", lambda D: 1)
-    with pytest.raises(InexactCount, match="gives -1/1232"):
+    # at n = 9 (D_n = 308, chi(2) = 0) a half sum of 2 passes the sum
+    # check and gives H = 1, so the count H/4 is not an integer
+    monkeypatch.setattr(quadforms, "_half_character_sum", lambda D: 2)
+    with pytest.raises(InexactCount, match="gives 1/4"):
         sc7_from_character_sum(9)
     monkeypatch.undo()
 

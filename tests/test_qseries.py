@@ -128,6 +128,10 @@ def test_eta_quotient_spec_rejects():
         EtaQuotientSpec(((2, 0),))
     with pytest.raises(ValueError):
         EtaQuotientSpec(((0, 1),))
+    with pytest.raises(ValueError):
+        EtaQuotientSpec(((24.9, 1),))  # not truncated to 24
+    with pytest.raises(ValueError):
+        EtaQuotientSpec((("24", 1),))  # not parsed as 24
 
 
 def test_eta_quotient_short_precision():

@@ -6,10 +6,9 @@ from math import isqrt
 import pytest
 
 from sc7core import quadforms
-from sc7core.arith import HypothesisViolation, divisors, is_fundamental, kronecker_row
+from sc7core.arith import HypothesisViolation, InexactCount, divisors, is_fundamental, kronecker_row
 from sc7core.quadforms import (
     BinaryQF,
-    _character_moment,
     _character_tables,
     _roots_mod_prime_power,
     _sqrt_mod_prime,
@@ -122,8 +121,9 @@ def test_hurwitz_matches_weighted_forms_property():
 
 def test_lifted_roots_match_a_scan():
     # roots mod 2^j for odd D in each class mod 8 that is a discriminant,
-    # for 2^2 .. 2^12 dividing D, and mod p^k for odd p | D, against
-    # trying every residue
+    # for 2^2 .. 2^12 dividing D, mod p^k for odd p | D, and mod p^k for
+    # odd p not dividing D, -D a square mod p or not (every p^k <= 3e4),
+    # against trying every residue
     def scan(D, q):
         return [x for x in range(q) if (x * x + D) % q == 0]
 
@@ -132,7 +132,8 @@ def test_lifted_roots_match_a_scan():
         for j in range(13):
             assert sorted(_roots_mod_prime_power(D, 2, 2**j, roots)) == scan(D, 2**j), (D, j)
     for D, p, kmax in ((3**9, 3, 8), (7**3 * 5, 7, 5), (7**3 * 12, 3, 6),
-                       (5**4 * 3 * 4, 5, 5), (11**4 * 3, 11, 4)):
+                       (5**4 * 3 * 4, 5, 5), (11**4 * 3, 11, 4),
+                       (7, 11, 4), (4, 13, 4), (7, 5, 6), (91, 3, 9)):
         roots = {1: [0]}
         for k in range(kmax + 1):
             assert sorted(_roots_mod_prime_power(D, p, p**k, roots)) == scan(D, p**k), (D, p, k)
@@ -323,36 +324,36 @@ def _ref_character_moment(D):
     return D * live.bit_count() // 2 - 2 * sum(compress(range(D), minus))
 
 
-def test_character_moment_matches_full_period_below_3000():
+def test_dirichlet_hurwitz_matches_full_period_below_3000():
     for D in range(3, 3000):
         if is_fundamental(-D):
-            assert _character_moment(D) == _ref_character_moment(D), D
+            assert dirichlet_hurwitz(D) == Fraction(-_ref_character_moment(D), D), D
 
 
-def test_character_moment_matches_full_period_at_block_edges():
+def test_dirichlet_hurwitz_matches_full_period_at_block_edges():
     # half periods (D+1)//2 from 2^16 - 11 to 2^16 + 10 and around 2^17:
     # one full block, one block and a few residues, two blocks and a few
     edges = [D for h in (2**16, 2**17) for D in range(2 * h - 22, 2 * h + 22)
              if is_fundamental(-D)]
     assert {2**16 - 4, 2**16, 2**16 + 4, 2**17 + 2} <= {(D + 1) // 2 for D in edges}
     for D in edges:
-        assert _character_moment(D) == _ref_character_moment(D), D
+        assert dirichlet_hurwitz(D) == Fraction(-_ref_character_moment(D), D), D
 
 
-def test_character_moment_matches_full_period_in_small_blocks(monkeypatch):
+def test_dirichlet_hurwitz_matches_full_period_in_small_blocks(monkeypatch):
     # blocks of 8 residues: factor periods both shorter and longer than a
     # block, and a last block of every length
     monkeypatch.setattr(quadforms, "_BLOCK", 8)
     for D in range(3, 400):
         if is_fundamental(-D):
-            assert _character_moment(D) == _ref_character_moment(D), D
+            assert dirichlet_hurwitz(D) == Fraction(-_ref_character_moment(D), D), D
 
 
 @pytest.mark.parametrize("D", [262147, 262148, 262184, 262168])
-def test_character_moment_matches_full_period_past_2_18(D):
+def test_dirichlet_hurwitz_matches_full_period_past_2_18(D):
     # one D > 2^18 for each 2-part of chi_{-D}: none, -4, -8 and 8
     assert is_fundamental(-D)
-    assert _character_moment(D) == _ref_character_moment(D)
+    assert dirichlet_hurwitz(D) == Fraction(-_ref_character_moment(D), D)
 
 
 # H(-D) at fundamental -D, by the 2-part of chi_{-D}: none (D odd), the
@@ -382,6 +383,16 @@ def test_dirichlet_hurwitz_matches_character_row_property():
         assert dirichlet_hurwitz(D) == _ref_dirichlet_hurwitz(D)
 
     check()
+
+
+def test_dirichlet_hurwitz_rejects_a_half_sum_off_by_one(monkeypatch):
+    # S must be a multiple of 2 - chi(2) itself: at D = 308 (chi(2) = 0)
+    # and at D = 51 (chi(2) = -1, 3 | D), -D*S is one for any S
+    real = quadforms._half_character_sum
+    monkeypatch.setattr(quadforms, "_half_character_sum", lambda D: real(D) + 1)
+    for D in (308, 51):
+        with pytest.raises(InexactCount, match=f"half character sum at D={D}"):
+            dirichlet_hurwitz(D)
 
 
 def test_dirichlet_rejects_nonfundamental():
