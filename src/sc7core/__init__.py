@@ -5,7 +5,7 @@ number formulas.  Everything is integer or Fraction arithmetic; nothing
 here ever rounds.
 """
 
-from .arith import HypothesisViolation, is_fundamental, kronecker, kronecker_row
+from .arith import HypothesisViolation, is_fundamental, kronecker
 from .eisenstein import (
     Discriminant,
     TwoAdicConvention,
@@ -20,16 +20,9 @@ from .eisenstein import (
     theta_from_eisenstein,
     two_adic_factor,
 )
-from .partitions import is_t_core, sc_count, self_conjugate_partitions
+from .partitions import is_t_core, sc_count
 from .qseries import QSeries, SC7_ETA_QUOTIENT, EtaQuotientSpec, eta_quotient_series, sc_series
-from .quadforms import (
-    BinaryQF,
-    dirichlet_hurwitz,
-    hurwitz,
-    hurwitz_adjusted,
-    hurwitz_scaled,
-    reduced_forms,
-)
+from .quadforms import BinaryQF, dirichlet_hurwitz, hurwitz, hurwitz_scaled, reduced_forms
 from .ternary import DECOMPOSITION_FORMS, DECOMPOSITION_WEIGHTS, TernaryQF, rep_count, sc7_from_thetas, theta_coeffs
 
 __version__ = "0.1.0"
@@ -52,12 +45,10 @@ __all__ = [
     "eisenstein_coeff",
     "eta_quotient_series",
     "hurwitz",
-    "hurwitz_adjusted",
     "hurwitz_scaled",
     "is_fundamental",
     "is_t_core",
     "kronecker",
-    "kronecker_row",
     "odd_prime_factor",
     "rep_count",
     "reduced_forms",
@@ -67,7 +58,6 @@ __all__ = [
     "sc7_scaled",
     "sc_count",
     "sc_series",
-    "self_conjugate_partitions",
     "theta_coeffs",
     "theta_from_eisenstein",
     "two_adic_factor",

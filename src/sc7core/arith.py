@@ -8,7 +8,6 @@ point anywhere in this package.
 from __future__ import annotations
 
 from math import isqrt
-from typing import NamedTuple
 
 
 class HypothesisViolation(ValueError):
@@ -86,13 +85,8 @@ def sigma1(n: int) -> int:
     return total
 
 
-class Valuation(NamedTuple):
-    exponent: int
-    cofactor: int
-
-
-def val_decompose(m: int, p: int) -> Valuation:
-    """Split m >= 1 as p^exponent * cofactor with p not dividing cofactor."""
+def val_decompose(m: int, p: int) -> tuple[int, int]:
+    """Split m >= 1 as (h, m') with m = p^h * m' and p not dividing m'."""
     if m < 1:
         raise ValueError(f"cannot decompose {m}: need a positive integer")
     if not is_prime(p):
@@ -101,7 +95,7 @@ def val_decompose(m: int, p: int) -> Valuation:
     while m % p == 0:
         m //= p
         h += 1
-    return Valuation(h, m)
+    return h, m
 
 
 def _symbol_at_prime(D: int, p: int) -> int:

@@ -24,7 +24,7 @@ from .arith import (
     kronecker,
     val_decompose,
 )
-from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_adjusted, hurwitz_scaled
+from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_scaled
 
 
 class TwoAdicConvention(Enum):
@@ -52,7 +52,11 @@ def two_adic_factor(m: int, conv: TwoAdicConvention = TwoAdicConvention.EFFECTIV
         h even, m' = 1 mod 4:  3 / 2^(1+h/2)
         h even, m' = 3 mod 8:  1 / 2^(h/2)  (EFFECTIVE)   0  (PRINTED)
         h even, m' = 7 mod 8:  0            (EFFECTIVE)   1 / 2^(h/2)  (PRINTED)
+
+    Raises ValueError unless conv is a TwoAdicConvention member.
     """
+    if not isinstance(conv, TwoAdicConvention):
+        raise ValueError(f"conv must be a TwoAdicConvention, got {conv!r}")
     if m < 1:
         raise ValueError(f"need a positive m, got {m}")
     h, m1 = val_decompose(m, 2)
@@ -87,19 +91,25 @@ def odd_prime_factor(p: int, m: int) -> Fraction:
     return Fraction(1, p)
 
 
+def _lift(N: int) -> int:
+    """N when -N is a discriminant, else 4N: the level at which a class
+    number written at -N is read, and the 4^epsilon of D_n."""
+    return N if -N % 4 in (0, 1) else 4 * N
+
+
 def class_number_factor(m: int) -> Fraction:
     """Archimedean factor at q^m, normalized to cancel all transcendentals.
 
     The raw factor carries pi / sqrt(7m); multiplying by pi * sqrt(7m)
-    leaves an exact rational multiple of the Hurwitz class number at 7m
-    (lifted to 28m when -7m is not a discriminant):
+    leaves an exact rational multiple of H = H(-_lift(7m)), the Hurwitz
+    class number at 7m, lifted to 28m when -7m is not a discriminant:
 
         49 * H / 4   if m = 5 mod 8
         49 * H / 12  otherwise.
     """
     if m < 1:
         raise ValueError(f"need a positive m, got {m}")
-    H = hurwitz_adjusted(7 * m)
+    H = hurwitz(_lift(7 * m))
     return Fraction(49, 4 if m % 8 == 5 else 12) * H
 
 
@@ -155,7 +165,7 @@ def theta_from_eisenstein(i: int, m: int,
 def closed_rep_count(i: int, m: int) -> Fraction:
     """Closed form for the i-th decomposition form's representation number
     at odd m coprime to 7, from the case tables (n := m - 2, H :=
-    hurwitz_adjusted(7m)):
+    H(-_lift(7m))):
 
         n mod 8:        1, 5      3        7
         form 1:         2H        8H       4H
@@ -168,7 +178,7 @@ def closed_rep_count(i: int, m: int) -> Fraction:
         raise HypothesisViolation(f"closed form needs odd m >= 3, got {m}")
     if m % 7 == 0:
         raise HypothesisViolation(f"closed form needs m coprime to 7, got {m}")
-    H = hurwitz_adjusted(7 * m)
+    H = hurwitz(_lift(7 * m))
     n = m - 2
     col = 0 if n % 4 == 1 else (1 if n % 8 == 3 else 2)
     table = {
@@ -190,11 +200,12 @@ class Discriminant(NamedTuple):
 
 
 def discriminant_of(n: int) -> Discriminant:
-    """D = 28n + 56 for n = 1 mod 4, D = 7n + 14 for n = 3 mod 4."""
+    """D = _lift(7n + 14): 28n + 56 for n = 1 mod 4, 7n + 14 for n = 3 mod 4."""
     if n < 1 or n % 2 == 0:
         raise HypothesisViolation(f"need an odd positive n, got {n}")
-    epsilon = 1 if n % 4 == 1 else 0
-    return Discriminant(n, (4 if epsilon else 1) * 7 * (n + 2), epsilon)
+    N = 7 * (n + 2)
+    D = _lift(N)
+    return Discriminant(n, D, int(D != N))
 
 
 def theorem_discriminant(n: int) -> Discriminant:
@@ -247,12 +258,12 @@ COR2_MAX_D = 3 * 10**7
 def sc7_from_character_sum(n: int) -> int:
     """Same count through the Dirichlet character sum, for fundamental -D_n:
 
-        -(1/(4 D_n)) * sum_{m=1}^{D_n} chi(m) m   (n = 1 mod 4)
-        -(1/(2 D_n)) * sum                        (n = 3 mod 8)
-        0                                         (n = 7 mod 8)
+        H(-D_n) / 4   (n = 1 mod 4)
+        H(-D_n) / 2   (n = 3 mod 8)
+        0             (n = 7 mod 8)
 
-    that is H(-D_n) = -(1/D_n) * sum from `dirichlet_hurwitz`, divided by
-    4 or 2.
+    with H(-D_n) = S / (2 - chi(2)) from `dirichlet_hurwitz`, S the sum of
+    chi_{-D_n}(m) over the half period 0 <= m < D_n/2.
 
     The vanishing case needs no sum and no fundamentality, so it is
     answered before the fundamentality check.  A sum longer than

@@ -2,10 +2,9 @@
 self-conjugate counting oracle.
 
 Partitions are plain tuples of nonincreasing positive parts; the empty
-tuple is the unique partition of 0.  Self-conjugate partitions are
-enumerated through the classical bijection with partitions into distinct
-odd parts: a set of distinct odd numbers d_1 > d_2 > ... becomes the
-self-conjugate partition whose nested diagonal hooks have those lengths.
+tuple is the unique partition of 0.  A self-conjugate partition is
+rebuilt from its diagonal hook lengths, distinct odd numbers
+d_1 > d_2 > ... (`from_diagonal_hooks`).
 """
 
 from __future__ import annotations
@@ -78,24 +77,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
             yield (first,) + rest
 
 
-def distinct_odd_partitions(n: int, max_part: int | None = None) -> Iterator[tuple[int, ...]]:
-    """Partitions of n into distinct odd parts, decreasing."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    if n == 0:
-        yield ()
-        return
-    top = n if n % 2 else n - 1
-    if max_part is not None and max_part < top:
-        top = max_part if max_part % 2 else max_part - 1
-    for d in range(top, 0, -2):
-        # the largest sum distinct odd parts below d can reach is ((d-1)/2)^2
-        if n - d > ((d - 1) // 2) ** 2:
-            break
-        for rest in distinct_odd_partitions(n - d, d - 2):
-            yield (d,) + rest
-
-
 def from_diagonal_hooks(hooks: Sequence[int]) -> tuple[int, ...]:
     """Self-conjugate partition with the given diagonal hook lengths.
 
@@ -120,13 +101,6 @@ def from_diagonal_hooks(hooks: Sequence[int]) -> tuple[int, ...]:
             idx -= 1
         out.append(idx + 1)
     return tuple(out)
-
-
-def self_conjugate_partitions(n: int) -> list[tuple[int, ...]]:
-    """All self-conjugate partitions of n, sorted lexicographically."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return sorted(from_diagonal_hooks(d) for d in distinct_odd_partitions(n))
 
 
 def sc_count(n: int, t: int) -> int:

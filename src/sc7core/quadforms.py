@@ -268,20 +268,6 @@ def hurwitz(D: int) -> Fraction:
     return Fraction(6 * count - 3 * halves - 4 * thirds, 6)
 
 
-def hurwitz_adjusted(N: int) -> Fraction:
-    """H(-N) when -N is a discriminant, else the lift H(-4N).
-
-    Covers class-number expressions written at -N with N = 1 mod 4, where
-    -N = 3 mod 4 is not a discriminant and the intended value sits at the
-    level -4N.
-    """
-    if N < 1:
-        raise ValueError(f"need a positive N, got {N}")
-    if (-N) % 4 in (0, 1):
-        return hurwitz(N)
-    return hurwitz(4 * N)
-
-
 def _legendre_signs(p: int) -> bytearray:
     """One byte per residue r mod the odd prime p: 1 where (r/p) = -1,
     0 where r is a nonzero square or r = 0."""

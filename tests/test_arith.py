@@ -4,7 +4,6 @@ import pytest
 
 from sc7core.arith import (
     HypothesisViolation,
-    Valuation,
     divisors,
     factorize,
     is_fundamental,
@@ -60,10 +59,10 @@ def test_mobius_summatory_identity():
 
 
 def test_val_decompose():
-    assert val_decompose(56, 2) == Valuation(3, 7)
-    assert val_decompose(7, 2) == Valuation(0, 7)
-    assert val_decompose(63, 7) == Valuation(1, 9)
-    assert val_decompose(1, 5) == Valuation(0, 1)
+    assert val_decompose(56, 2) == (3, 7)
+    assert val_decompose(7, 2) == (0, 7)
+    assert val_decompose(63, 7) == (1, 9)
+    assert val_decompose(1, 5) == (0, 1)
     with pytest.raises(ValueError):
         val_decompose(0, 2)
     with pytest.raises(ValueError):

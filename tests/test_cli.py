@@ -391,8 +391,8 @@ def test_class_number_count_check_survives_optimize():
 
 
 def test_cor2_refuses_an_inexact_half_sum(monkeypatch, capsys):
-    # at n = 11, D_n = 91 and chi(2) = -1, so -D*S must be a multiple of
-    # 3; a half sum off by one leaves a remainder: exit 3 and no count
+    # at n = 11, D_n = 91 and chi(2) = -1, so S must be a multiple of 3;
+    # a half sum off by one leaves a remainder: exit 3 and no count
     from sc7core import quadforms
 
     real = quadforms._half_character_sum

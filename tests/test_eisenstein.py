@@ -19,7 +19,7 @@ from sc7core.eisenstein import (
     theta_from_eisenstein,
     two_adic_factor,
 )
-from sc7core.quadforms import hurwitz, hurwitz_adjusted
+from sc7core.quadforms import hurwitz
 
 PRINTED = TwoAdicConvention.PRINTED
 EFFECTIVE = TwoAdicConvention.EFFECTIVE
@@ -42,6 +42,11 @@ def test_two_adic_factor_cases():
     assert two_adic_factor(7, PRINTED) == 1
     with pytest.raises(ValueError):
         two_adic_factor(0)
+    # a convention given by its value, not its member, is refused
+    with pytest.raises(ValueError):
+        two_adic_factor(91, "effective")
+    with pytest.raises(ValueError):
+        theta_from_eisenstein(1, 1, "effective")
 
 
 def test_two_adic_factor_at_7m_for_m_3_mod_4():
@@ -85,11 +90,17 @@ def test_class_number_factor():
     assert class_number_factor(13) == Fraction(49, 2)
     assert class_number_factor(11) == Fraction(98, 3)
     assert class_number_factor(3) == Fraction(49, 3)
-    # branch selector: 5 mod 8 divides by 4, everything else by 12
+    # -7m = 1 mod 4 reads H(-7), -7m = 2 mod 4 lifts to H(-56), and
+    # -7m = 0 mod 4 reads H(-28)
+    assert class_number_factor(1) == Fraction(49, 12)
+    assert class_number_factor(2) == Fraction(49, 3)
+    assert class_number_factor(4) == Fraction(49, 6)
+    # branch selector: 5 mod 8 divides by 4, everything else by 12; odd m
+    # reads H at 7m for m = 1 mod 4 and at 28m for m = 3 mod 4
     for m in (5, 13, 21, 29):
-        assert class_number_factor(m) == Fraction(49, 4) * hurwitz_adjusted(7 * m)
+        assert class_number_factor(m) == Fraction(49, 4) * hurwitz(7 * m)
     for m in (1, 3, 7, 9, 11):
-        assert class_number_factor(m) == Fraction(49, 12) * hurwitz_adjusted(7 * m)
+        assert class_number_factor(m) == Fraction(49, 12) * hurwitz(7 * m if m % 4 == 1 else 28 * m)
 
 
 def test_eisenstein_coeff_examples():

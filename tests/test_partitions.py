@@ -6,13 +6,11 @@ from sc7core.partitions import (
     _beta_is_t_core,
     c_count,
     conjugate,
-    distinct_odd_partitions,
     from_diagonal_hooks,
     hook_lengths,
     is_t_core,
     partitions_of,
     sc_count,
-    self_conjugate_partitions,
 )
 from sc7core.qseries import sc_series
 
@@ -74,31 +72,13 @@ def test_t_core_invariant_under_conjugation():
                 assert is_t_core(p, t) == is_t_core(conjugate(p), t)
 
 
-def test_distinct_odd_partitions_matches_filter():
-    # an even cap admits only the odd parts below it
-    assert list(distinct_odd_partitions(10, 8)) == [(7, 3)]
-    for n in range(26):
-        got = list(distinct_odd_partitions(n))
-        assert len(set(got)) == len(got)
-        brute = [p for p in partitions_of(n)
-                 if all(x % 2 for x in p) and len(set(p)) == len(p)]
-        assert sorted(got) == sorted(brute)
-        for max_part in range(n + 2):
-            got = list(distinct_odd_partitions(n, max_part))
-            assert sorted(got) == sorted(p for p in brute
-                                         if not p or p[0] <= max_part), (n, max_part)
-
-
-def test_distinct_odd_partitions_rejects_negative():
-    with pytest.raises(ValueError, match="n must be non-negative"):
-        list(distinct_odd_partitions(-3))
-
-
 def test_from_diagonal_hooks_roundtrip():
     # rebuilt partitions are self-conjugate with exactly the requested
     # diagonal hooks
     for n in range(26):
-        for d in distinct_odd_partitions(n):
+        odd_distinct = [d for d in partitions_of(n)
+                        if all(x % 2 for x in d) and len(set(d)) == len(d)]
+        for d in odd_distinct:
             p = from_diagonal_hooks(d)
             assert sum(p) == n
             assert conjugate(p) == p
@@ -122,12 +102,6 @@ def test_from_diagonal_hooks_rejects():
         from_diagonal_hooks((5, 5))
     with pytest.raises(ValueError):
         from_diagonal_hooks((5, -1))
-
-
-def test_self_conjugate_partitions_matches_filter():
-    for n in range(21):
-        got = self_conjugate_partitions(n)
-        assert got == sorted(p for p in partitions_of(n) if conjugate(p) == p)
 
 
 def test_sc_count_matches_naive_filter():

@@ -14,7 +14,6 @@ from sc7core.quadforms import (
     _sqrt_mod_prime,
     dirichlet_hurwitz,
     hurwitz,
-    hurwitz_adjusted,
     hurwitz_scaled,
     reduced_forms,
 )
@@ -275,16 +274,6 @@ def test_hurwitz_denominator_divides_six():
             value = hurwitz(D)
             assert value > 0
             assert 6 % value.denominator == 0
-
-
-def test_hurwitz_adjusted():
-    assert hurwitz_adjusted(7) == 1
-    assert hurwitz_adjusted(77) == hurwitz(308)
-    assert hurwitz_adjusted(3) == hurwitz(3)
-    assert hurwitz_adjusted(1) == hurwitz(4)
-    assert hurwitz_adjusted(2) == hurwitz(8)
-    with pytest.raises(ValueError):
-        hurwitz_adjusted(0)
 
 
 def test_dirichlet_matches_forms():
