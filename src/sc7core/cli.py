@@ -3,11 +3,12 @@
 Subcommands: sc7 (one count, chosen route), table (batch CSV/JSON),
 verify (cross-validation sweeps), forms and hurwitz (class-number data).
 
-One registry, ROUTES, describes the routes: how each builds a table for
-every n <= N (qseries, eta, theta), reads one count from it, and answers
-a single n.  `sc7`, `table` and `verify` all go through it.  Each verify
-check in CHECKS yields its comparisons (n, (label, lhs), (label, rhs));
-one sweep loop counts them and stops at the first mismatch.
+One registry, ROUTES, describes the routes: how each builds its count
+column sc7(0..N) at once (qseries, eta, theta), reads one count from
+it, and answers a single n.  `sc7`, `table` and `verify` all go through
+it.  Each verify check in CHECKS yields its comparisons (n, (label, lhs),
+(label, rhs)); one sweep loop counts them and stops at the first
+mismatch.
 
 Exit codes: 0 success; 1 usage error, malformed input, or a query too
 large for the chosen route; 2 input that is well-formed but outside a
@@ -30,6 +31,7 @@ import json
 import math
 import os
 import sys
+from operator import getitem
 from typing import Callable, NamedTuple, Optional
 
 from .arith import HypothesisViolation, InexactCount, is_fundamental
@@ -43,7 +45,7 @@ from .eisenstein import (
 from .partitions import sc_count
 from .qseries import SC7_ETA_QUOTIENT, eta_quotient_series, format_coefficient, sc_series
 from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_scaled, reduced_forms
-from .ternary import DECOMPOSITION_FORMS, sc7_from_reps, sc7_from_thetas, theta_coeffs
+from .ternary import DECOMPOSITION_FORMS, sc7_from_rep_columns, sc7_from_thetas, theta_coeffs
 
 CSV_HEADER = ["n", "route", "value", "D_n", "H"]
 
@@ -70,12 +72,13 @@ class OutputRecord(NamedTuple):
 
 
 class Route(NamedTuple):
-    """One way to compute sc7(n).  table(N) builds, once, what the route
-    shares between all n <= N (None: each n stands alone), and
-    read(table, n) takes the count at n from it (from None, it computes
-    the count for that n alone).  single(n) gives (count, extras) for one
-    n where a route reports extras or has a faster path for one n than
-    building a table; without it, one n reads a table built to N = n.
+    """One way to compute sc7(n).  table(N) builds, once, the route's
+    count column: sc7(0..N) as a plain sequence, which read(table, n)
+    indexes with `operator.getitem`.  A route without a table (None)
+    stands alone at each n, and read(None, n) computes that count.
+    single(n) gives (count, extras) for one n where a route reports
+    extras or has a faster path for one n than building a table; without
+    it, one n reads a table built to N = n.
 
     Entries call the library through this module's names at call time,
     so patching `cli.sc_series` (say) reaches them.
@@ -105,15 +108,24 @@ def _class_number_route(count: Callable[[int], int]) -> Route:
     return Route(read=lambda _, n: count(n), single=single)
 
 
+def _theta_reps(N: int) -> list:
+    """The representation numbers R_i(m), m <= N + 2, of the three
+    decomposition forms: what the theta column to N is combined from."""
+    return [theta_coeffs(Q, N + 3).coeffs for Q in DECOMPOSITION_FORMS]
+
+
+def _theta_column(reps: list, N: int) -> list:
+    """sc7(n) for n <= N from the R_i(n + 2), checked at every n."""
+    return sc7_from_rep_columns([r[2:N + 3] for r in reps])
+
+
 ROUTES = {
     "enum": Route(read=lambda _, n: sc_count(n, 7)),
-    "qseries": Route(read=lambda series, n: series[n],
-                     table=lambda N: sc_series(7, N + 1)),
+    "qseries": Route(read=getitem, table=lambda N: sc_series(7, N + 1).coeffs),
     # the eta quotient carries sc7(n) at q^(n+2)
-    "eta": Route(read=lambda series, n: series[n + 2],
-                 table=lambda N: eta_quotient_series(SC7_ETA_QUOTIENT, N + 3)),
-    "theta": Route(read=lambda thetas, n: sc7_from_reps([t[n + 2] for t in thetas]),
-                   table=lambda N: [theta_coeffs(Q, N + 3) for Q in DECOMPOSITION_FORMS],
+    "eta": Route(read=getitem,
+                 table=lambda N: eta_quotient_series(SC7_ETA_QUOTIENT, N + 3).coeffs[2:]),
+    "theta": Route(read=getitem, table=lambda N: _theta_column(_theta_reps(N), N),
                    single=lambda n: (sc7_from_thetas(n), {})),
     "theorem": _class_number_route(lambda n: sc7_from_class_number(n)),
     "cor2": _class_number_route(lambda n: sc7_from_character_sum(n)),
@@ -253,13 +265,13 @@ def _vanishing(limit: int, tables: dict):
 
 def _against_lattice(label: str, formula: Callable, first: int):
     """A formula for the lattice count R_i(m) of each of the three forms,
-    against the theta table, at odd m >= first coprime to 7."""
+    against the reps table, at odd m >= first coprime to 7."""
     def cases(limit: int, tables: dict):
-        thetas = tables["theta"]
+        reps = tables["reps"]
         for m in range(first, limit + 1, 2):
             if m % 7:
                 for i in (1, 2, 3):
-                    yield m, (f"{label}({i})", formula(i, m)), ("rep_count", thetas[i - 1][m])
+                    yield m, (f"{label}({i})", formula(i, m)), ("rep_count", reps[i - 1][m])
     return cases
 
 
@@ -281,22 +293,22 @@ def _dirichlet_vs_forms(limit: int, tables: dict):
 
 class Check(NamedTuple):
     bound: int  # default sweep bound
-    needs: Callable[[int], dict]  # bound -> {route: largest n its table is read at}
+    needs: Callable[[int], dict]  # bound -> {table: largest n it is read at}
     cases: Callable  # (bound, tables) -> comparisons
 
 
-# R_i(m) sits at n = m - 2 of the theta table.  The formulas are looked
-# up by name at call time, so a wrapper put on this module's names (a
-# tracer, a test) sees their calls.
+# "reps" is the table of R_i(m), m <= n + 2, that the theta column is
+# combined from.  The formulas are looked up by name at call time, so a
+# wrapper put on this module's names (a tracer, a test) sees their calls.
 CHECKS = {
     "route-equivalence": Check(2000, lambda n: {
         "qseries": n, "eta": n, "theta": min(n, EQUIVALENCE["theta"][0])}, _route_equivalence),
     "vanishing-7mod8": Check(2000, lambda n: {"qseries": n}, _vanishing),
     "theta-identity": Check(498, lambda n: {"qseries": n, "theta": n},
                             lambda n, tables: _against_qseries("theta", n, tables)),
-    "closed-R-tables": Check(301, lambda n: {"theta": n - 2}, _against_lattice(
+    "closed-R-tables": Check(301, lambda n: {"reps": n - 2}, _against_lattice(
         "closed_rep_count", lambda i, m: closed_rep_count(i, m), 3)),
-    "g-basis": Check(301, lambda n: {"theta": n - 2}, _against_lattice(
+    "g-basis": Check(301, lambda n: {"reps": n - 2}, _against_lattice(
         "theta_from_eisenstein", lambda i, m: theta_from_eisenstein(i, m), 1)),
     "cohen-scaling": Check(500, lambda n: {}, _cohen_scaling),
     "dirichlet-vs-forms": Check(2000, lambda n: {}, _dirichlet_vs_forms),
@@ -320,9 +332,17 @@ def cmd_verify(args) -> int:
     limits = {name: args.max if args.max is not None else CHECKS[name].bound for name in names}
     needs: dict = {}
     for name in names:
-        for route, N in CHECKS[name].needs(limits[name]).items():
-            needs[route] = max(needs.get(route, N), N)
-    tables = {route: ROUTES[route].table(N) for route, N in needs.items()}
+        for table, N in CHECKS[name].needs(limits[name]).items():
+            needs[table] = max(needs.get(table, N), N)
+    # The theta column is combined from the reps table, so one set of
+    # theta series serves both, built to the larger need.
+    theta = needs.pop("theta", None)
+    if theta is not None:
+        needs["reps"] = max(needs.get("reps", theta), theta)
+    tables = {table: (_theta_reps if table == "reps" else ROUTES[table].table)(N)
+              for table, N in needs.items()}
+    if theta is not None:
+        tables["theta"] = _theta_column(tables["reps"], theta)
     for name in names:
         cases = 0
         for n, lhs, rhs in CHECKS[name].cases(limits[name], tables):

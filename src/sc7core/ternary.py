@@ -168,23 +168,34 @@ DECOMPOSITION_FORMS = (
 DECOMPOSITION_WEIGHTS = (Fraction(1, 14), Fraction(-1, 7), Fraction(1, 14))
 
 
-def sc7_from_reps(reps) -> int:
-    """sc7(n) from the representation numbers (R1, R2, R3) of the three
-    decomposition forms at n + 2: the weighted sum R1/14 - R2/7 + R3/14.
+def sc7_from_rep_columns(columns) -> list:
+    """sc7 at each index of three equal-length columns of representation
+    numbers, R1, R2 and R3 of the decomposition forms at the same n + 2:
+    the weighted sum R1/14 - R2/7 + R3/14 at every index.
 
-    The sum is taken in integers over the common denominator of the
-    weights, which are read at each call.  Raises InexactCount unless it
-    is a non-negative integer, so a failure of the decomposition can never
-    pass as a count.
+    The sums are taken in integers over the common denominator of the
+    weights, which are read at each call.  Raises InexactCount at the
+    first index where a sum is not a non-negative integer, so a failure
+    of the decomposition can never pass as a count.
     """
     weights = DECOMPOSITION_WEIGHTS
     den = lcm(*(w.denominator for w in weights))
-    total = sum(w.numerator * (den // w.denominator) * r for w, r in zip(weights, reps))
-    value, rest = divmod(total, den)
-    if rest or value < 0:
-        raise InexactCount(f"theta combination gives {format_coefficient(Fraction(total, den))} "
-                           f"for representation numbers {tuple(reps)}")
-    return value
+    totals = [0] * len(columns[0])
+    for w, column in zip(weights, columns):
+        k = w.numerator * (den // w.denominator)
+        totals = [u + k * r for u, r in zip(totals, column)]
+    for i, total in enumerate(totals):
+        if total % den or total < 0:
+            raise InexactCount(f"theta combination gives {format_coefficient(Fraction(total, den))} "
+                               f"for representation numbers {tuple(c[i] for c in columns)}")
+    return [total // den for total in totals]
+
+
+def sc7_from_reps(reps) -> int:
+    """sc7(n) from the representation numbers (R1, R2, R3) of the three
+    decomposition forms at n + 2: `sc7_from_rep_columns` at one index,
+    with its checks."""
+    return sc7_from_rep_columns([[r] for r in reps])[0]
 
 
 def sc7_from_thetas(n: int) -> int:

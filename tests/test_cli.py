@@ -87,6 +87,15 @@ def test_table_max_zero():
     code, out = run_cli("table", "--max", "0")
     assert code == 0
     assert out.splitlines() == ["n,route,value,D_n,H", "0,qseries,1,,"]
+    # each series route's count column at N = 0 and N = 1: the eta column
+    # starts after its q^2 shift, the theta column at R_i(2)
+    routes = ("qseries", "eta", "theta")
+    code, out = run_cli("table", "--max", "0", "--routes", ",".join(routes))
+    assert code == 0
+    assert out.splitlines() == ["n,route,value,D_n,H", *(f"0,{r},1,," for r in routes)]
+    code, out = run_cli("table", "--max", "1", "--routes", ",".join(routes))
+    assert code == 0
+    assert out.splitlines()[1:] == [f"{n},{r},1,," for n in (0, 1) for r in routes]
 
 
 def test_table_cor2():

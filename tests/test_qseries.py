@@ -1,8 +1,10 @@
 from fractions import Fraction
 from itertools import accumulate
+from math import isqrt
 
 import pytest
 
+from sc7core import qseries
 from sc7core.partitions import c_count, sc_count
 from sc7core.qseries import (
     QSeries,
@@ -11,6 +13,7 @@ from sc7core.qseries import (
     _div_sparse,
     _euler_terms,
     _mul_sparse,
+    _x_terms,
     euler_factor,
     eta_quotient_series,
     format_coefficient,
@@ -229,13 +232,59 @@ def test_eta_quotient_matches_reference(spec):
         assert eta_quotient_series(spec, prec).coeffs == _ref_eta_quotient_series(spec, prec)
 
 
+def _ref_sparse_sc_series(t, prec):
+    # the triple-product factors multiplied in with one slice-add per term,
+    # as sc_series did before its Kronecker substitution
+    c = [0] * prec
+    c[0] = 1
+    for j in range(1, (t + 1) // 2):
+        _mul_sparse(c, [(e, 1) for e in _x_terms(t, -2 * j, prec) if e])
+    return tuple(c)
+
+
 # 57 = 7*3^2 - 2*3 and 69 = 7*3^2 + 2*3 are exponents of the j = 1 theta
 # factor of sc_series(7, .): precisions 57 and 69 stop just short of a
 # term, 58 and 70 take it in.
 THETA_EDGES = (57, 58, 69, 70)
 
 
-@pytest.mark.parametrize("t", [1, 3, 5, 7, 9, 11, 13])
+def _slot_width(t, prec):
+    # the digits per coefficient slot that sc_series's docstring derives
+    return len(str((2 * isqrt(prec // t) + 3) ** ((t - 1) // 2))) + 1
+
+
+def _width_ticks(t, lo, hi):
+    # each prec in (lo, hi] whose slot width differs from prec - 1's, with
+    # prec - 1: the last precision of the old width and the first of the new
+    ticks = [p for p in range(max(lo, 1) + 1, hi + 1) if _slot_width(t, p) != _slot_width(t, p - 1)]
+    return tuple(q for p in ticks for q in (p - 1, p))
+
+
+def test_width_ticks_are_where_the_bound_gains_a_digit():
+    # t = 7: (2M + 3)^3 reaches 10^3 at M = 4, 10^4 at M = 10, 10^5 at M = 22
+    assert _width_ticks(7, 0, 4000) == (6, 7, 111, 112, 699, 700, 3387, 3388)
+
+
+# The binomial oracle is quadratic: it checks the width ticks of
+# t = 3, 5, 7 and 9 below 3000, and the sparse one those up to 10^4.
+@pytest.mark.parametrize("t", [1, 3, 5, 7, 9, 11, 13, 15, 21])
 def test_sc_series_matches_reference(t):
-    for prec in _precisions(0) + THETA_EDGES:
-        assert sc_series(t, prec).coeffs == _ref_sc_series(t, prec)
+    ticks = _width_ticks(t, 0, 3000) if t in (3, 5, 7, 9) else ()
+    for prec in _precisions(0) + THETA_EDGES + ticks:
+        assert sc_series(t, prec).coeffs == _ref_sc_series(t, prec), prec
+
+
+def test_sc_series_matches_sparse_reference():
+    assert sc_series(7, 20000).coeffs == _ref_sparse_sc_series(7, 20000)
+    for t in (3, 5, 7, 9):
+        for prec in _width_ticks(t, 3000, 10**4):
+            assert sc_series(t, prec).coeffs == _ref_sparse_sc_series(t, prec), (t, prec)
+
+
+def test_decimal_is_the_c_module():
+    # sc_series multiplies through decimal, and needs the C module
+    # (libmpdec): the pure-Python _pydecimal multiplies in quadratic time,
+    # so without it sc_series would slow down with no error.
+    import _decimal
+
+    assert qseries.Context is _decimal.Context
