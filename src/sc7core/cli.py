@@ -4,11 +4,11 @@ Subcommands: sc7 (one count, chosen route), table (batch CSV/JSON),
 verify (cross-validation sweeps), forms and hurwitz (class-number data).
 
 One registry, ROUTES, describes the routes: how each builds its count
-column sc7(0..N) at once (qseries, eta, theta), reads one count from
-it, and answers a single n.  `sc7`, `table` and `verify` all go through
-it.  Each verify check in CHECKS yields its comparisons (n, (label, lhs),
-(label, rhs)); one sweep loop counts them and stops at the first
-mismatch.
+column sc7(0..N) at once (enum, qseries, eta, theta), reads one count
+from it, and answers a single n.  `sc7`, `table` and `verify` all go
+through it.  Each verify check in CHECKS yields its comparisons
+(n, (label, lhs), (label, rhs)); one sweep loop counts them and stops at
+the first mismatch.
 
 Exit codes: 0 success; 1 usage error, malformed input, or a query too
 large for the chosen route; 2 input that is well-formed but outside a
@@ -42,7 +42,7 @@ from .eisenstein import (
     sc7_from_class_number,
     theta_from_eisenstein,
 )
-from .partitions import sc_count
+from .partitions import sc_count, sc_count_column
 from .qseries import SC7_ETA_QUOTIENT, eta_quotient_series, format_coefficient, sc_series
 from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_scaled, reduced_forms
 from .ternary import DECOMPOSITION_FORMS, sc7_from_rep_columns, sc7_from_thetas, theta_coeffs
@@ -77,8 +77,9 @@ class Route(NamedTuple):
     indexes with `operator.getitem`.  A route without a table (None)
     stands alone at each n, and read(None, n) computes that count.
     single(n) gives (count, extras) for one n where a route reports
-    extras or has a faster path for one n than building a table; without
-    it, one n reads a table built to N = n.
+    extras or has a faster path for one n than building a table (enum
+    counts one n with `sc_count`, its column with `sc_count_column`);
+    without it, one n reads a table built to N = n.
 
     Entries call the library through this module's names at call time,
     so patching `cli.sc_series` (say) reaches them.
@@ -120,7 +121,8 @@ def _theta_column(reps: list, N: int) -> list:
 
 
 ROUTES = {
-    "enum": Route(read=lambda _, n: sc_count(n, 7)),
+    "enum": Route(read=getitem, table=lambda N: sc_count_column(N, 7),
+                  single=lambda n: (sc_count(n, 7), {})),
     "qseries": Route(read=getitem, table=lambda N: sc_series(7, N + 1).coeffs),
     # the eta quotient carries sc7(n) at q^(n+2)
     "eta": Route(read=getitem,
@@ -302,7 +304,8 @@ class Check(NamedTuple):
 # wrapper put on this module's names (a tracer, a test) sees their calls.
 CHECKS = {
     "route-equivalence": Check(2000, lambda n: {
-        "qseries": n, "eta": n, "theta": min(n, EQUIVALENCE["theta"][0])}, _route_equivalence),
+        "qseries": n, "eta": n, "theta": min(n, EQUIVALENCE["theta"][0]),
+        "enum": min(n, EQUIVALENCE["enum"][0])}, _route_equivalence),
     "vanishing-7mod8": Check(2000, lambda n: {"qseries": n}, _vanishing),
     "theta-identity": Check(498, lambda n: {"qseries": n, "theta": n},
                             lambda n, tables: _against_qseries("theta", n, tables)),

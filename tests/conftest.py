@@ -2,6 +2,7 @@ import time
 
 import pytest
 
+from sc7core import quadforms
 from sc7core.partitions import sc_count
 from sc7core.qseries import SC7_ETA_QUOTIENT, eta_quotient_series, sc_series
 from sc7core.ternary import DECOMPOSITION_FORMS, theta_coeffs
@@ -10,6 +11,13 @@ from sc7core.ternary import DECOMPOSITION_FORMS, theta_coeffs
 # The acceptance tests charge these against their runtime budgets, so the
 # budgets stay honest no matter which test built the fixture first.
 BUILD_TIMES: dict[str, float] = {}
+
+
+@pytest.fixture(autouse=True)
+def cold_class_numbers():
+    """Each test starts with an empty `hurwitz` memo, so none reads a
+    class number that an earlier test computed with a helper patched."""
+    quadforms._hurwitz.cache_clear()
 
 
 def _timed(name, builder):

@@ -38,6 +38,16 @@ def test_sc7_enum_route_zero():
     assert json.loads(out)["value"] == 1
 
 
+def test_sc7_enum_route_builds_no_column(monkeypatch):
+    def unreachable(N, t):
+        raise AssertionError("enum column built")
+
+    monkeypatch.setattr(cli, "sc_count_column", unreachable)
+    for n, value in ((0, 1), (9, 2), (1500, 30)):
+        code, out = run_cli("sc7", str(n), "--route", "enum")
+        assert code == 0 and json.loads(out)["value"] == value
+
+
 def test_sc7_every_route_small():
     for route in cli.ROUTES:
         code, out = run_cli("sc7", "9", "--route", route)
@@ -295,6 +305,41 @@ def test_verify_builds_each_series_once(monkeypatch):
     code, out = run_cli("verify", "--max", "40")
     assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
     assert calls == {"sc_series": 1, "eta_quotient_series": 1, "theta_coeffs": 3}
+
+
+def test_verify_builds_the_enum_column_once(monkeypatch):
+    calls = []
+    real = cli.sc_count_column
+
+    def counted(N, t):
+        calls.append((N, t))
+        return real(N, t)
+
+    monkeypatch.setattr(cli, "sc_count_column", counted)
+    code, out = run_cli("verify", "--max", "40")
+    assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
+    assert calls == [(40, 7)]
+
+
+def test_verify_computes_each_class_number_once(monkeypatch):
+    # the checks ask for some D many times; the memo counts each D once
+    from sc7core import eisenstein, quadforms
+
+    asked, counted_D = [], []
+
+    def recorded(real, calls):
+        def wrapper(D, *args):
+            calls.append(D)
+            return real(D, *args)
+        return wrapper
+
+    for module in (cli, eisenstein, quadforms):
+        monkeypatch.setattr(module, "hurwitz", recorded(module.hurwitz, asked))
+    monkeypatch.setattr(quadforms, "_count_head", recorded(quadforms._count_head, counted_D))
+    code, out = run_cli("verify", "--max", "40")
+    assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
+    assert len(asked) > len(set(asked))
+    assert sorted(counted_D) == sorted(set(asked))
 
 
 def test_table_streams_rows(monkeypatch):

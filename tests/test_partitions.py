@@ -11,6 +11,7 @@ from sc7core.partitions import (
     is_t_core,
     partitions_of,
     sc_count,
+    sc_count_column,
 )
 from sc7core.qseries import sc_series
 
@@ -231,6 +232,33 @@ def test_sc_count_leaves_every_leaf_to_the_hook_test(monkeypatch):
     monkeypatch.setattr(partitions, "_beta_is_t_core", lambda p, t: False)
     for n in range(1, 51):
         assert sc_count(n, 7) == 0, n
+
+
+def test_sc_count_column_matches_sc_count():
+    for t in (1, 3, 5, 7, 9, 11):
+        assert sc_count_column(60, t) == [sc_count(n, t) for n in range(61)], t
+    assert sc_count_column(1500, 7) == [sc_count(n, 7) for n in range(1501)]
+    assert sc_count_column(0, 7) == [1]
+    with pytest.raises(ValueError):
+        sc_count_column(-1, 7)
+    with pytest.raises(ValueError):
+        sc_count_column(5, 0)
+
+
+def test_sc_count_column_leaves_every_candidate_to_the_hook_test(monkeypatch):
+    calls = []
+
+    def counting(p, t):
+        calls.append(p)
+        return _beta_is_t_core(p, t)
+
+    monkeypatch.setattr(partitions, "_beta_is_t_core", counting)
+    column = sc_count_column(300, 7)
+    # every union of full chains is a t-core, so no candidate is rejected
+    assert len(calls) == sum(column)
+
+    monkeypatch.setattr(partitions, "_beta_is_t_core", lambda p, t: False)
+    assert sc_count_column(50, 7)[1:] == [0] * 50
 
 
 def test_c_count():

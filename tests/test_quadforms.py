@@ -118,6 +118,16 @@ def test_hurwitz_matches_weighted_forms_property():
     check()
 
 
+def test_hurwitz_memo_matches_weighted_forms_cold_and_warm():
+    expected = {D: _ref_hurwitz(D) for D in range(3, 3001) if D % 4 in (0, 3)}
+    for D, H in expected.items():  # cold: each D is counted
+        assert hurwitz(D) == H, D
+    for D, H in expected.items():  # warm: each D is read from the memo
+        assert hurwitz(D) == H, D
+    info = quadforms._hurwitz.cache_info()
+    assert (info.misses, info.hits) == (len(expected), len(expected))
+
+
 def test_lifted_roots_match_a_scan():
     # roots mod 2^j for odd D in each class mod 8 that is a discriminant,
     # for 2^2 .. 2^12 dividing D, mod p^k for odd p | D, and mod p^k for
