@@ -14,26 +14,34 @@ The two series builders here never leave the integers:
   and the coefficients are read back from the digits.  The slot width
   is proved wide enough in its docstring.  Cost: about O(N log N) for
   fixed t, plus O(N) Python steps to write and read the digits.
-- `eta_quotient_series` works in a dense integer list and expands each
-  eta factor by Euler's pentagonal number theorem, which leaves about
-  2*sqrt(2N/(3s)) terms below N for scale s; multiplying or dividing by
-  such a sparse series, one list slice-add (or one recurrence step) per
-  term, costs O(N^1.5).  It stays the independent check of `sc_series`.
+- `eta_quotient_series` expands each eta factor by Euler's pentagonal
+  number theorem, which leaves about 2*sqrt(2N/(3s)) terms below N for
+  scale s.  It multiplies by such a sparse series on one packed integer,
+  a fixed-width binary slot per coefficient: one C-level shifted add of
+  O(N) machine words per term, with no Python step per coefficient.  It
+  divides with one recurrence step per term and coefficient.  Both cost
+  O(N^1.5), and the division, in Python steps, now takes most of the
+  time.  It stays the independent check of `sc_series`.
 
 On one core of a 2-vCPU VM (Python 3.11.7, libmpdec 2.5.1, best of 5
 runs, 2 at 10^6), `sc_series(7, N)` takes 0.011 s at N = 10^4, 0.046 s
 at 3*10^4, 0.17 s at 10^5 and 0.67 s at 3*10^5: a fitted exponent of
 1.2 (3.0 s at 10^6).  One slice-add per term took 0.048, 0.27 and 1.6 s
-at the first three sizes.  The SC7 eta quotient costs about 0.08 s at
-4000, 0.3 s at 10000 and 1.7 s at 30000.
+at the first three sizes.  The SC7 eta quotient costs about 0.03 s at
+4000, 0.11 s at 10000 and 0.9 s at 30000, nearly all of it in its two
+divisions; with one slice-add per term for its multiplications it took
+about 0.05, 0.28 and 1.06 s.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from math import isqrt
+from itertools import groupby
+from math import isqrt, prod
 
 
 def format_coefficient(v) -> str:
@@ -126,16 +134,6 @@ def _euler_terms(scale: int, limit: int) -> list:
     return terms
 
 
-def _mul_sparse(c: list, terms: list) -> None:
-    """c <- c * (1 + sum sign*q^e), one slice-add per term."""
-    src = c[:]
-    for e, sign in terms:
-        if sign == 1:
-            c[e:] = [x + y for x, y in zip(c[e:], src)]
-        else:
-            c[e:] = [x - y for x, y in zip(c[e:], src)]
-
-
 def _div_sparse(c: list, terms: list) -> None:
     """c <- c / (1 + sum sign*q^e) by the recurrence
     b[i] = c[i] - sum sign*b[i-e]; the divisor has constant term 1, so
@@ -147,6 +145,91 @@ def _div_sparse(c: list, terms: list) -> None:
                 break
             acc -= sign * c[i - e]
         c[i] = acc
+
+
+# Packed series: the coefficients c_0..c_(n-1) of a series cut below q^n
+# as one integer sum_e c_e 2^(8k e), each in a slot of k bytes.  Multiplying
+# by q^e is a shift by 8k*e bits, so a product with a sparse series is one
+# shifted add per term, and packing and reading back are C-level.
+
+# array typecodes of the slot widths that need no Python step per slot
+_ARRAY_CODES = {array(code).itemsize: code for code in "hiq"}
+
+
+def _packed_width(bound: int) -> int:
+    """Bytes k per slot for packed coefficients with |c| <= bound: the
+    least k with bound < 2^(8k-1), raised to 2, 4 or 8 when at most 8.
+
+    Proof that every slot of a packed result reads back correctly when
+    each of its final coefficients c_e has |c_e| <= bound.
+
+    - The arithmetic is exact modulo 2^(8kn).  The map Z[q]/(q^n) ->
+      Z/2^(8kn), q -> 2^(8k), is a ring homomorphism, because
+      2^(8k)^n = 0 there.  `_pack` computes sum_e c_e 2^(8k e) exactly,
+      and `_mul_packed` and every mask work modulo 2^(8kn), so the final
+      integer is congruent to sum_e c_e 2^(8k e), whatever the sizes of
+      the intermediate values.
+    - Carries only move upward: adding or subtracting two numbers
+      changes a slot only through its own bits and a carry (or borrow)
+      from the slot below, and the mask drops only what leaves the top.
+    - `_unpack` adds b = 2^(8k-1) to every slot.  If -b <= c_e < b for
+      all e, each slot holds c_e + b in [0, 2^(8k)), nothing carries,
+      and the slots are the base-2^(8k) digits of the masked sum, so
+      every c_e reads back.  Otherwise the lowest slot out of range gets
+      no carry from below and reads (c_e + b) mod 2^(8k) - b != c_e.
+
+    So a result reads back correctly iff every final coefficient lies in
+    [-b, b), which |c_e| <= bound < b = 2^(8k-1) ensures.  The widths 2,
+    4 and 8 have array typecodes (`_ARRAY_CODES`); wider slots are
+    written and read one slot at a time.
+    """
+    k = (bound.bit_length() + 8) // 8
+    return next((w for w in (2, 4, 8) if w >= k), k)
+
+
+def _bias(k: int, n: int) -> int:
+    """2^(8k-1) in each of n slots of k bytes."""
+    return int.from_bytes((1 << 8 * k - 1).to_bytes(k, "little") * n, "little")
+
+
+def _pack(values, k: int) -> int:
+    """sum_e values[e] 2^(8k e), exactly, for every |value| < 2^(8k-1).
+
+    The slots are written in two's complement, then XOR with the bias
+    turns each slot v mod 2^(8k) into v + 2^(8k-1) with no carry, and
+    subtracting the bias leaves v."""
+    if k in _ARRAY_CODES:
+        slots = array(_ARRAY_CODES[k], values)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        data = slots.tobytes()
+    else:
+        data = b"".join(v.to_bytes(k, "little", signed=True) for v in values)
+    bias = _bias(k, len(values))
+    return (int.from_bytes(data, "little") ^ bias) - bias
+
+
+def _unpack(x: int, k: int, n: int) -> list:
+    """The n coefficients of the packed x as plain ints, read back as
+    balanced slots: add 2^(8k-1) to every slot below n, mask to 2^(8kn),
+    and XOR the bias back out, which leaves each slot in two's
+    complement.  Correct when every coefficient has |c| < 2^(8k-1)
+    (`_packed_width`)."""
+    bias = _bias(k, n)
+    data = (((x + bias) & ((1 << 8 * k * n) - 1)) ^ bias).to_bytes(k * n, "little")
+    if k in _ARRAY_CODES:
+        slots = array(_ARRAY_CODES[k], data)
+        if sys.byteorder == "big":
+            slots.byteswap()
+        return slots.tolist()
+    return [int.from_bytes(data[i:i + k], "little", signed=True) for i in range(0, k * n, k)]
+
+
+def _mul_packed(x: int, terms, k: int, n: int) -> int:
+    """x * sum m*q^e mod 2^(8kn) for the (e, m) in terms: one shifted add
+    per term on the packed x."""
+    bits = 8 * k
+    return sum(m * (x << bits * e) for e, m in terms) & ((1 << bits * n) - 1)
 
 
 def euler_factor(scale: int, sign: int, prec: int) -> QSeries:
@@ -279,10 +362,15 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
 
     Each factor (q^scale; q^scale)_inf is taken in its sparse pentagonal
     form (about 2*sqrt(2N/(3*scale)) terms below the body length N =
-    prec - shift).  A positive exponent multiplies by it once per unit,
-    one slice-add per term; a negative exponent divides by it once per
-    unit with the recurrence b[i] = c[i] - sum_e P_e b[i-e].  Both cost
-    O(N^1.5).  Every divisor has constant term 1, so coefficients stay
+    prec - shift), and the factors are applied in spec order.  Each run
+    of consecutive positive exponents is multiplied in on one packed
+    integer: one shifted add per term and unit of exponent, each
+    x <- (x + sum_e s_e (x << 8k e)) mod 2^(8kN), with the slot width k
+    from the bound max|c| * prod (1 + #terms) over the run's units (each
+    unit multiplies the largest |coefficient| by at most 1 + #terms).  A
+    negative exponent divides once per unit with the recurrence
+    b[i] = c[i] - sum_e P_e b[i-e], O(N^1.5) Python steps, which now
+    dominate.  Every divisor has constant term 1, so coefficients stay
     integers.
     """
     if prec < 1:
@@ -293,11 +381,20 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
         return QSeries([0] * prec)
     c = [0] * body
     c[0] = 1
-    for scale, exponent in spec.factors:
-        terms = _euler_terms(scale, body)
-        kernel = _mul_sparse if exponent > 0 else _div_sparse
-        for _ in range(abs(exponent)):
-            kernel(c, terms)
+    for positive, run in groupby(spec.factors, key=lambda factor: factor[1] > 0):
+        if positive:
+            units = [[(0, 1)] + _euler_terms(scale, body)
+                     for scale, exponent in run for _ in range(exponent)]
+            k = _packed_width(max(map(abs, c)) * prod(len(terms) for terms in units))
+            x = _pack(c, k)
+            for terms in units:
+                x = _mul_packed(x, terms, k, body)
+            c = _unpack(x, k, body)
+        else:
+            for scale, exponent in run:
+                terms = _euler_terms(scale, body)
+                for _ in range(-exponent):
+                    _div_sparse(c, terms)
     return QSeries([0] * shift + c)
 
 

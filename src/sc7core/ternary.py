@@ -20,14 +20,16 @@ Neither kernel loops over x:
   one isqrt per (y, z): O(m) steps.
 - `theta_coeffs(Q, N)` sorts the (y, z) of the box by the residue r of
   B mod 2a in one O(N) sweep, then multiplies each residue row by the
-  sparse series sum_x q^(a x^2 + r x): O(sqrt(N/a)) slice-adds per row.
+  sparse series sum_x q^(a x^2 + r x): O(sqrt(N/a)) shifted adds per row
+  on one packed integer (`qseries._mul_packed`), each C-level.
 
 Both replace a sweep over every lattice point of the box, O(N^1.5)
 steps.  On one core of a 2-vCPU VM (Python 3.11, best of 5 or 15 runs,
 which drift between runs), the three decomposition forms cost about
-0.04-0.05 s for `theta_coeffs` at N = 4000 and 0.14-0.2 s at N = 10000,
-and 0.003-0.004 s for `rep_count` at m = 1500, 0.03-0.05 s at m = 20003
-and 0.16-0.24 s at m = 100003.
+0.003-0.007 s for `theta_coeffs` at N = 4000 and 0.007-0.02 s at
+N = 10000, most of it the box sweep (with one slice-add per term,
+0.009-0.013 and 0.037-0.052 s), and 0.003-0.004 s for `rep_count` at
+m = 1500, 0.03-0.05 s at m = 20003 and 0.16-0.24 s at m = 100003.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from fractions import Fraction
 from math import isqrt, lcm
 
 from .arith import InexactCount
-from .qseries import QSeries, _x_terms, format_coefficient
+from .qseries import (QSeries, _mul_packed, _pack, _packed_width, _unpack, _x_terms,
+                      format_coefficient)
 
 
 @dataclass(frozen=True)
@@ -128,8 +131,12 @@ def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:
     a x'^2 + r x' >= 0 and C' = C - a k^2 - r k.  One sweep over the
     (y, z) box (O(N) steps for N = prec) adds each (y, z) to a dense row
     P_r at exponent C'; then Theta_Q = sum_r T_r P_r with
-    T_r = sum_x' q^(a x'^2 + r x'), which has O(sqrt(N/a)) terms, each
-    one slice-add of length at most N.  At most 2a residues r occur; the
+    T_r = sum_x' q^(a x'^2 + r x'), which has O(sqrt(N/a)) terms.  Each
+    row is packed once (`qseries._pack`) and each term is one shifted add
+    on the packed row, all summed into one packed integer, so no Python
+    step runs per coefficient.  Every coefficient of the sum is at most
+    sum_r (sum of T_r's multiplicities) * max(P_r), all terms >= 0, and
+    that bound sets the slot width.  At most 2a residues r occur; the
     three decomposition forms need one, one and two rows.
     """
     if prec < 1:
@@ -150,11 +157,10 @@ def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:
                 if row is None:
                     row = rows[r] = [0] * prec
                 row[low] += 1
-    counts = [0] * prec
-    for r, row in rows.items():
-        for t, mult in _x_terms(a, r, prec).items():
-            counts[t:] = [u + mult * v for u, v in zip(counts[t:], row)]
-    return QSeries(counts)
+    terms = {r: _x_terms(a, r, prec) for r in rows}
+    k = _packed_width(sum(sum(terms[r].values()) * max(row) for r, row in rows.items()))
+    total = sum(_mul_packed(_pack(row, k), terms[r].items(), k, prec) for r, row in rows.items())
+    return QSeries(_unpack(total, k, prec))
 
 
 # The three forms whose theta series decompose the shifted sc7 generating
@@ -174,11 +180,15 @@ def sc7_from_rep_columns(columns) -> list:
     the weighted sum R1/14 - R2/7 + R3/14 at every index.
 
     The sums are taken in integers over the common denominator of the
-    weights, which are read at each call.  Raises InexactCount at the
-    first index where a sum is not a non-negative integer, so a failure
-    of the decomposition can never pass as a count.
+    weights, which are read at each call.  Raises ValueError unless there
+    is one column per weight and all columns have the same length, and
+    InexactCount at the first index where a sum is not a non-negative
+    integer, so a failure of the decomposition can never pass as a count.
     """
     weights = DECOMPOSITION_WEIGHTS
+    if len(columns) != len(weights) or len({len(column) for column in columns}) != 1:
+        raise ValueError(f"need {len(weights)} columns of equal length, "
+                         f"got lengths {[len(column) for column in columns]}")
     den = lcm(*(w.denominator for w in weights))
     totals = [0] * len(columns[0])
     for w, column in zip(weights, columns):

@@ -10,9 +10,12 @@ from sc7core.qseries import (
     QSeries,
     SC7_ETA_QUOTIENT,
     EtaQuotientSpec,
+    _ARRAY_CODES,
     _div_sparse,
     _euler_terms,
-    _mul_sparse,
+    _pack,
+    _packed_width,
+    _unpack,
     _x_terms,
     euler_factor,
     eta_quotient_series,
@@ -71,7 +74,7 @@ def test_tcore_generating_function():
     for t in (2, 3, 5, 7):
         c = [1] + [0] * (prec - 1)
         for _ in range(t):
-            _mul_sparse(c, _euler_terms(t, prec))
+            _ref_mul_sparse(c, _euler_terms(t, prec))
         _div_sparse(c, _euler_terms(1, prec))
         assert c == [c_count(n, t) for n in range(prec)]
 
@@ -150,6 +153,17 @@ def test_sc7_eta_quotient_spec():
 # Reference builders: the quadratic-time binomial algorithms that
 # sc_series and eta_quotient_series used before their triple-product and
 # pentagonal rewrites, kept here as independent oracles.
+
+def _ref_mul_sparse(c, terms):
+    # c <- c * (1 + sum sign*q^e), one slice-add per term: the kernel
+    # eta_quotient_series used before its packed shifted adds
+    src = c[:]
+    for e, sign in terms:
+        if sign == 1:
+            c[e:] = [x + y for x, y in zip(c[e:], src)]
+        else:
+            c[e:] = [x - y for x, y in zip(c[e:], src)]
+
 
 def _ref_mul_binomial(c, m, sign):
     # c <- c * (1 + sign*q^m)
@@ -232,13 +246,50 @@ def test_eta_quotient_matches_reference(spec):
         assert eta_quotient_series(spec, prec).coeffs == _ref_eta_quotient_series(spec, prec)
 
 
+# eta(tau)^-24 eta(2 tau)^24 at precision 200: the 24 divisions leave
+# coefficients far beyond 2^63 for the run of 24 multiplications to pack,
+# in slots wider than any array typecode.  The reference takes 2-3 s at
+# the precision 602 of _precisions and 0.3 s at 200, so this spec is
+# checked at 200 only.
+WIDE_SPEC = EtaQuotientSpec(((1, -24), (2, 24)))
+
+
+def test_eta_quotient_matches_reference_in_wide_slots():
+    body = 199
+    c = [1] + [0] * (body - 1)
+    for _ in range(24):
+        _div_sparse(c, _euler_terms(1, body))
+    assert max(map(abs, c)) >= 2**63
+    assert eta_quotient_series(WIDE_SPEC, 200).coeffs == _ref_eta_quotient_series(WIDE_SPEC, 200)
+
+
+def test_packed_width_at_its_boundaries():
+    # the least of 2, 4, 8 bytes, then of any byte count k, with bound < 2^(8k-1)
+    for bound, k in ((0, 2), (2**15 - 1, 2), (2**15, 4), (2**31 - 1, 4), (2**31, 8),
+                     (2**63 - 1, 8), (2**63, 9), (2**71 - 1, 9), (2**71, 10)):
+        assert _packed_width(bound) == k, bound
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 9, 16])
+def test_pack_reads_back_the_extreme_slots(k):
+    # every pair of the extreme values -2^(8k-1), -1, 0, 1 and 2^(8k-1) - 1
+    # side by side, so that each slot borrows from or carries into the next
+    b = 2 ** (8 * k - 1)
+    extremes = (-b, -1, 0, 1, b - 1)
+    values = [v for u in extremes for w in extremes for v in (u, w)]
+    x = _pack(values, k)
+    assert x == sum(v << 8 * k * e for e, v in enumerate(values))
+    assert _unpack(x, k, len(values)) == values
+    assert _unpack(x, k, 3) == values[:3]
+
+
 def _ref_sparse_sc_series(t, prec):
     # the triple-product factors multiplied in with one slice-add per term,
     # as sc_series did before its Kronecker substitution
     c = [0] * prec
     c[0] = 1
     for j in range(1, (t + 1) // 2):
-        _mul_sparse(c, [(e, 1) for e in _x_terms(t, -2 * j, prec) if e])
+        _ref_mul_sparse(c, [(e, 1) for e in _x_terms(t, -2 * j, prec) if e])
     return tuple(c)
 
 
@@ -288,3 +339,10 @@ def test_decimal_is_the_c_module():
     import _decimal
 
     assert qseries.Context is _decimal.Context
+
+
+def test_array_codes_cover_the_packed_widths():
+    # the packed kernels move slots of 2, 4 and 8 bytes through array; a
+    # width without a typecode takes one Python step per slot, so without
+    # these the kernels would slow down with no error.
+    assert set(_ARRAY_CODES) == {2, 4, 8}

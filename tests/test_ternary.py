@@ -17,6 +17,7 @@ from sc7core.ternary import (
     DECOMPOSITION_WEIGHTS,
     TernaryQF,
     rep_count,
+    sc7_from_rep_columns,
     sc7_from_reps,
     sc7_from_thetas,
     theta_coeffs,
@@ -223,6 +224,19 @@ def test_sc7_from_reps_is_checked_exact():
         sc7_from_reps([17, 0, 12])
     with pytest.raises(InexactCount, match="-1"):
         sc7_from_reps([0, 7, 0])
+
+
+def test_sc7_from_rep_columns_rejects_malformed_columns():
+    # columns of unequal length, or not one per weight, are refused
+    # rather than truncated to the shortest
+    for columns in ([[14, 28, 0], [0], [0, 0, 0]],
+                    [[16], [0], [12], [5]],
+                    [[16], [0]]):
+        with pytest.raises(ValueError, match="columns of equal length"):
+            sc7_from_rep_columns(columns)
+    with pytest.raises(ValueError, match="columns of equal length"):
+        sc7_from_reps([16, 0, 12, 5])
+    assert sc7_from_rep_columns([[16, 14], [0, 0], [12, 0]]) == [2, 1]
 
 
 def test_sc7_from_thetas_spot():
