@@ -16,21 +16,23 @@ The two series builders here never leave the integers:
   fixed t, plus O(N) Python steps to write and read the digits.
 - `eta_quotient_series` expands each eta factor by Euler's pentagonal
   number theorem, which leaves about 2*sqrt(2N/(3s)) terms below N for
-  scale s.  It multiplies by such a sparse series on one packed integer,
-  a fixed-width binary slot per coefficient: one C-level shifted add of
-  O(N) machine words per term, with no Python step per coefficient.  It
-  divides with one recurrence step per term and coefficient.  Both cost
-  O(N^1.5), and the division, in Python steps, now takes most of the
-  time.  It stays the independent check of `sc_series`.
+  scale s, and computes the whole quotient on packed integers, a
+  fixed-width binary slot per coefficient: the numerator and the
+  denominator each by one C-level shifted add of O(N) machine words per
+  term, the division as one multiply by the denominator's inverse
+  modulo a power of 2, and an exact check of the result.  There is no
+  Python step per coefficient; the shifted adds cost O(N^1.5) word
+  operations and the products about O(N^1.58).  It stays the
+  independent check of `sc_series`.
 
 On one core of a 2-vCPU VM (Python 3.11.7, libmpdec 2.5.1, best of 5
 runs, 2 at 10^6), `sc_series(7, N)` takes 0.011 s at N = 10^4, 0.046 s
 at 3*10^4, 0.17 s at 10^5 and 0.67 s at 3*10^5: a fitted exponent of
 1.2 (3.0 s at 10^6).  One slice-add per term took 0.048, 0.27 and 1.6 s
-at the first three sizes.  The SC7 eta quotient costs about 0.03 s at
-4000, 0.11 s at 10000 and 0.9 s at 30000, nearly all of it in its two
-divisions; with one slice-add per term for its multiplications it took
-about 0.05, 0.28 and 1.06 s.
+at the first three sizes.  The SC7 eta quotient costs about 0.013 s at
+4000, 0.053 s at 10^4, 0.38 s at 3*10^4 and 2.1 s at 10^5 (best of 5,
+2 at the last two sizes); with the pentagonal recurrence for its two
+divisions it took 0.040, 0.13, 0.88 and 6.0 s.
 """
 
 from __future__ import annotations
@@ -40,8 +42,7 @@ from array import array
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from itertools import groupby
-from math import isqrt, prod
+from math import comb, isqrt, prod
 
 
 def format_coefficient(v) -> str:
@@ -134,19 +135,6 @@ def _euler_terms(scale: int, limit: int) -> list:
     return terms
 
 
-def _div_sparse(c: list, terms: list) -> None:
-    """c <- c / (1 + sum sign*q^e) by the recurrence
-    b[i] = c[i] - sum sign*b[i-e]; the divisor has constant term 1, so
-    the quotient stays integral."""
-    for i in range(1, len(c)):
-        acc = c[i]
-        for e, sign in terms:
-            if e > i:
-                break
-            acc -= sign * c[i - e]
-        c[i] = acc
-
-
 # Packed series: the coefficients c_0..c_(n-1) of a series cut below q^n
 # as one integer sum_e c_e 2^(8k e), each in a slot of k bytes.  Multiplying
 # by q^e is a shift by 8k*e bits, so a product with a sparse series is one
@@ -226,10 +214,37 @@ def _unpack(x: int, k: int, n: int) -> list:
 
 
 def _mul_packed(x: int, terms, k: int, n: int) -> int:
-    """x * sum m*q^e mod 2^(8kn) for the (e, m) in terms: one shifted add
-    per term on the packed x."""
+    """x * sum m*q^e mod 2^(8kn) for the (e, m) in terms: the shifts of
+    the terms that share a multiplicity m are summed, then multiplied by
+    m once, so each term costs one shifted add on the packed x."""
     bits = 8 * k
-    return sum(m * (x << bits * e) for e, m in terms) & ((1 << bits * n) - 1)
+    by_m: dict = {}
+    for e, m in terms:
+        by_m.setdefault(m, []).append(e)
+    return sum(m * sum(x << bits * e for e in es) for m, es in by_m.items()) & ((1 << bits * n) - 1)
+
+
+def _inverse_2adic(a: int, bits: int) -> int:
+    """y in [0, 2^bits) with a*y = 1 mod 2^bits, for odd a.
+
+    Newton's iteration y <- y(2 - a y), doubling the precision each step.
+    If a y = 1 + 2^h t, then y(2 - a y) = y - 2^h y t, and a times that
+    is 1 - 2^(2h) t^2.  So for p <= 2h, y - 2^h (y t mod 2^(p-h)) is the
+    inverse mod 2^p, and only t mod 2^(p-h) is needed.  It starts from
+    y = 1, the inverse mod 2 of any odd a.  A step at precision p takes
+    a product of p by p/2 bits and one of p/2 by p/2 bits, so the whole
+    costs about two products of bits-bit integers.  pow(a, -1, 2**bits)
+    runs a quadratic extended Euclid instead: 0.35 s against 3 ms at
+    64 kbit on one core of a 2-vCPU VM (Python 3.11.7)."""
+    if a % 2 == 0:
+        raise ValueError("only an odd integer is invertible modulo a power of 2")
+    y, h = 1, 1
+    while h < bits:
+        p = min(2 * h, bits)
+        e = (((a & ((1 << p) - 1)) * y) >> h) & ((1 << p - h) - 1)
+        y -= ((y * e) & ((1 << p - h) - 1)) << h
+        h = p
+    return y & ((1 << bits) - 1)
 
 
 def euler_factor(scale: int, sign: int, prec: int) -> QSeries:
@@ -329,9 +344,9 @@ class EtaQuotientSpec:
 
     Each eta factor contributes a global prefactor q^(scale*exp/24); the
     net power must come out a non-negative integer for the product to be
-    a plain power series, and that is asserted at construction (a
-    fractional net power is a hard error, not a truncation).  Every scale
-    and exponent must be an int; nothing is coerced.
+    a plain power series, and construction raises ValueError otherwise
+    (a fractional net power is a hard error, not a truncation).  Every
+    scale and exponent must be an int; nothing is coerced.
     """
 
     factors: tuple[tuple[int, int], ...]
@@ -362,16 +377,42 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
 
     Each factor (q^scale; q^scale)_inf is taken in its sparse pentagonal
     form (about 2*sqrt(2N/(3*scale)) terms below the body length N =
-    prec - shift), and the factors are applied in spec order.  Each run
-    of consecutive positive exponents is multiplied in on one packed
-    integer: one shifted add per term and unit of exponent, each
-    x <- (x + sum_e s_e (x << 8k e)) mod 2^(8kN), with the slot width k
-    from the bound max|c| * prod (1 + #terms) over the run's units (each
-    unit multiplies the largest |coefficient| by at most 1 + #terms).  A
-    negative exponent divides once per unit with the recurrence
-    b[i] = c[i] - sum_e P_e b[i-e], O(N^1.5) Python steps, which now
-    dominate.  Every divisor has constant term 1, so coefficients stay
-    integers.
+    prec - shift), with constant term 1.  One unit of a positive exponent
+    goes into the numerator num, one unit of a negative exponent into the
+    denominator den, and the body is c = num / den in Z[q]/(q^N).
+
+    The quotient is computed in Z/2^(8kN), the image of Z[q]/(q^N) under
+    q -> 2^(8k) (`_packed_width` proves the map a ring homomorphism).
+    num and den are packed by one shifted add per term and unit
+    (`_mul_packed`); den is 1 mod 2^(8k), so odd, and so invertible mod
+    2^(8kN) (`_inverse_2adic`); one multiply gives the packed quotient,
+    whose slots are read back once.  The intermediates need not fit in
+    a slot: the arithmetic is exact modulo 2^(8kN), and only the final
+    coefficients must have |c_e| < 2^(8k-1) to read back.
+
+    No cheap tight bound on the c_e is known in advance, so each width
+    is checked exactly.  Starting at k = 2, the read-back c is checked by
+    c * den == num in Z[q]/(q^N): c is packed again and multiplied by
+    the denominator units with the same shifted adds, at a width (k or
+    more) where both sides read back.  |num_e| <= prod_u len(u) over the
+    numerator units u (each unit has len(u) terms of size 1), and
+    |(c * den)_e| <= max|c| * prod_u len(u) over the denominator units.
+    Two integer vectors in range pack to the same residue only if they
+    are equal, so the check is exact, and as den is a unit it passes iff
+    c is the quotient.  It uses neither den's packed inverse nor the
+    product by it, so it also catches a fault in those.  If it fails, k
+    doubles.
+
+    The loop stops: p(n) <= 2^n bounds the coefficients of 1/(q;q)_inf,
+    so with r denominator units every coefficient of 1/den below q^N is
+    at most C(N - 1 + r, r) 2^(N-1), and every |c_e| at most
+    prod len(num units) times that.  The width of that bound is the
+    last one tried (k grows as min(2k, last)); a failed check there is
+    a fault, raised as RuntimeError.  The SC7 quotient passes at k = 2.
+
+    Cost: O(N^1.5) word operations for the shifted adds, plus the few
+    products of 8kN-bit integers in the inverse and the quotient
+    (Karatsuba, about O(N^1.58)), with no Python step per coefficient.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
@@ -379,23 +420,29 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     body = prec - shift
     if body <= 0:
         return QSeries([0] * prec)
-    c = [0] * body
-    c[0] = 1
-    for positive, run in groupby(spec.factors, key=lambda factor: factor[1] > 0):
-        if positive:
-            units = [[(0, 1)] + _euler_terms(scale, body)
-                     for scale, exponent in run for _ in range(exponent)]
-            k = _packed_width(max(map(abs, c)) * prod(len(terms) for terms in units))
-            x = _pack(c, k)
-            for terms in units:
-                x = _mul_packed(x, terms, k, body)
-            c = _unpack(x, k, body)
-        else:
-            for scale, exponent in run:
-                terms = _euler_terms(scale, body)
-                for _ in range(-exponent):
-                    _div_sparse(c, terms)
-    return QSeries([0] * shift + c)
+    num, den = [], []
+    for scale, exponent in spec.factors:
+        (num if exponent > 0 else den).extend([[(0, 1)] + _euler_terms(scale, body)] * abs(exponent))
+    num_bound, den_bound = prod(map(len, num)), prod(map(len, den))
+    last = _packed_width((num_bound * comb(body - 1 + len(den), len(den))) << (body - 1))
+
+    def packed(units, k, x=1):
+        for terms in units:
+            x = _mul_packed(x, terms, k, body)
+        return x
+
+    k = 2
+    while True:
+        a = packed(num, k)
+        c = _unpack(a * _inverse_2adic(packed(den, k), 8 * k * body), k, body)
+        check = max(k, _packed_width(max(num_bound, max(map(abs, c)) * den_bound)))
+        if check > k:
+            a = packed(num, check)
+        if (packed(den, check, _pack(c, check)) - a) & ((1 << 8 * check * body) - 1) == 0:
+            return QSeries([0] * shift + c)
+        if k == last:
+            raise RuntimeError(f"eta quotient {spec.factors} failed its exact check at the proved width of {k} bytes")
+        k = min(2 * k, last)
 
 
 # eta(2t)^2 eta(14t) eta(7t) eta(28t) / (eta(4t) eta(t)): its expansion is

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
@@ -11,8 +12,9 @@ from sc7core.qseries import (
     SC7_ETA_QUOTIENT,
     EtaQuotientSpec,
     _ARRAY_CODES,
-    _div_sparse,
     _euler_terms,
+    _inverse_2adic,
+    _mul_packed,
     _pack,
     _packed_width,
     _unpack,
@@ -75,7 +77,7 @@ def test_tcore_generating_function():
         c = [1] + [0] * (prec - 1)
         for _ in range(t):
             _ref_mul_sparse(c, _euler_terms(t, prec))
-        _div_sparse(c, _euler_terms(1, prec))
+        _ref_div_sparse(c, _euler_terms(1, prec))
         assert c == [c_count(n, t) for n in range(prec)]
 
 
@@ -155,14 +157,24 @@ def test_sc7_eta_quotient_spec():
 # pentagonal rewrites, kept here as independent oracles.
 
 def _ref_mul_sparse(c, terms):
-    # c <- c * (1 + sum sign*q^e), one slice-add per term: the kernel
+    # c <- c * (1 + sum m*q^e), one slice-add per term: the kernel
     # eta_quotient_series used before its packed shifted adds
     src = c[:]
-    for e, sign in terms:
-        if sign == 1:
-            c[e:] = [x + y for x, y in zip(c[e:], src)]
-        else:
-            c[e:] = [x - y for x, y in zip(c[e:], src)]
+    for e, m in terms:
+        c[e:] = [x + m * y for x, y in zip(c[e:], src)]
+
+
+def _ref_div_sparse(c, terms):
+    # c <- c / (1 + sum sign*q^e) by the recurrence
+    # b[i] = c[i] - sum sign*b[i-e]: the pentagonal division
+    # eta_quotient_series used before its 2-adic inverse
+    for i in range(1, len(c)):
+        acc = c[i]
+        for e, sign in terms:
+            if e > i:
+                break
+            acc -= sign * c[i - e]
+        c[i] = acc
 
 
 def _ref_mul_binomial(c, m, sign):
@@ -246,21 +258,122 @@ def test_eta_quotient_matches_reference(spec):
         assert eta_quotient_series(spec, prec).coeffs == _ref_eta_quotient_series(spec, prec)
 
 
-# eta(tau)^-24 eta(2 tau)^24 at precision 200: the 24 divisions leave
-# coefficients far beyond 2^63 for the run of 24 multiplications to pack,
-# in slots wider than any array typecode.  The reference takes 2-3 s at
-# the precision 602 of _precisions and 0.3 s at 200, so this spec is
-# checked at 200 only.
+# eta(tau)^-24 eta(2 tau)^24 at precision 200: its coefficients reach far
+# beyond 2^63, so the quotient fails its exact check at widths 2, 4, 8
+# and 16 and reads back in slots of 32 bytes, wider than any array
+# typecode.  The reference takes 2-3 s at the precision 602 of
+# _precisions and 0.3 s at 200, so this spec is checked at 200 only.
 WIDE_SPEC = EtaQuotientSpec(((1, -24), (2, 24)))
 
 
-def test_eta_quotient_matches_reference_in_wide_slots():
+def _count_widths(monkeypatch, body):
+    # the slot width k of each packed division, as 8*k*body bits
+    widths = []
+    real = qseries._inverse_2adic
+
+    def counted(a, bits):
+        widths.append(bits // (8 * body))
+        return real(a, bits)
+
+    monkeypatch.setattr(qseries, "_inverse_2adic", counted)
+    return widths
+
+
+def test_eta_quotient_matches_reference_in_wide_slots(monkeypatch):
     body = 199
     c = [1] + [0] * (body - 1)
     for _ in range(24):
-        _div_sparse(c, _euler_terms(1, body))
+        _ref_div_sparse(c, _euler_terms(1, body))
     assert max(map(abs, c)) >= 2**63
+    widths = _count_widths(monkeypatch, body)
     assert eta_quotient_series(WIDE_SPEC, 200).coeffs == _ref_eta_quotient_series(WIDE_SPEC, 200)
+    assert widths == [2, 4, 8, 16, 32]
+
+
+def test_sc7_quotient_holds_at_the_first_width(monkeypatch):
+    # one 2-adic inverse at k = 2: the check passes at the first width,
+    # which is what makes the route fast
+    widths = _count_widths(monkeypatch, 20001)
+    eta = eta_quotient_series(SC7_ETA_QUOTIENT, 20003)
+    assert widths == [2]
+    assert eta[20002] == 64
+
+
+def test_eta_quotient_raises_when_the_check_fails(monkeypatch):
+    # a wrong inverse fails the exact check at every width up to the
+    # proved bound, and the loop stops there; a loop that did not stop
+    # would fail here instead of hanging
+    calls = []
+
+    def wrong(a, bits):
+        calls.append(bits)
+        if len(calls) > 50:
+            raise AssertionError("the width loop does not stop")
+        return 3
+
+    monkeypatch.setattr(qseries, "_inverse_2adic", wrong)
+    with pytest.raises(RuntimeError):
+        eta_quotient_series(SC7_ETA_QUOTIENT, 40)
+    assert 1 < len(calls) < 10
+
+
+def test_eta_quotient_pure_product_beyond_the_first_width():
+    # eta(tau)^24 = sum tau(n) q^n, Ramanujan's tau: no denominator, and
+    # coefficients past 2^15, so the first width reads back only their
+    # residues and the check must see that num itself does not fit
+    tau = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920,
+           534612, -370944, -577738, 401856, 1217160, 987136)
+    assert eta_quotient_series(EtaQuotientSpec(((1, 24),)), 17).coeffs == (0,) + tau
+
+
+@pytest.mark.parametrize("bits", [1, 2, 3, 64, 65, 10**5])
+def test_inverse_2adic(bits):
+    rng = random.Random(bits)
+    for a in (1, 3, -1, 2**bits - 1, 2**bits + 1, rng.getrandbits(bits + 7) | 1):
+        y = _inverse_2adic(a, bits)
+        assert 0 <= y < 2**bits
+        assert a * y % 2**bits == 1, a
+
+
+def test_inverse_2adic_rejects_even():
+    for a in (0, 2, -4, 2**70):
+        with pytest.raises(ValueError):
+            _inverse_2adic(a, 64)
+
+
+def _random_specs(count, seed):
+    # specs with scales <= 6 and |exponent| <= 4 whose net power is a
+    # non-negative integer, each with a precision <= 80
+    rng = random.Random(seed)
+    specs = []
+    while len(specs) < count:
+        scales = rng.sample(range(1, 7), rng.randint(1, 4))
+        factors = tuple((s, rng.choice((-4, -3, -2, -1, 1, 2, 3, 4))) for s in scales)
+        net = sum(s * e for s, e in factors)
+        if net >= 0 and net % 24 == 0:
+            specs.append((EtaQuotientSpec(factors), rng.randint(1, 80)))
+    return specs
+
+
+def test_eta_quotient_matches_reference_on_random_specs():
+    for spec, prec in _random_specs(40, 1907):
+        assert eta_quotient_series(spec, prec).coeffs == _ref_eta_quotient_series(spec, prec), spec
+
+
+@pytest.mark.parametrize("k", [2, 4, 8, 9])
+def test_mul_packed_matches_slice_adds(k):
+    # multiplicities -1, 1, 2 and 3, with terms beyond the precision too;
+    # the coefficients are as large as width k allows, so each slot of the
+    # product is near its limit
+    n = 60
+    rng = random.Random(k)
+    terms = [(e, rng.choice((-1, 1, 2, 3))) for e in sorted(rng.sample(range(1, 70), 25))]
+    top = (2 ** (8 * k - 1) - 1) // (1 + sum(abs(m) for _, m in terms))
+    c = [rng.choice((-top, top, rng.randint(-top, top))) for _ in range(n)]
+    expected = c[:]
+    _ref_mul_sparse(expected, terms)
+    assert _packed_width(max(map(abs, expected))) <= k
+    assert _unpack(_mul_packed(_pack(c, k), [(0, 1)] + terms, k, n), k, n) == expected
 
 
 def test_packed_width_at_its_boundaries():
