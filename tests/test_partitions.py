@@ -7,7 +7,6 @@ from sc7core.partitions import (
     c_count,
     conjugate,
     from_diagonal_hooks,
-    hook_lengths,
     is_t_core,
     partitions_of,
     sc_count,
@@ -16,6 +15,19 @@ from sc7core.partitions import (
 from sc7core.qseries import sc_series
 
 PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+
+
+def _ref_hook_lengths(parts) -> tuple[tuple[int, ...], ...]:
+    """Hook number of every cell: 1 + cells to the right + cells below.
+
+    Row i, column j (0-indexed) holds parts[i] - j + conj[j] - i - 1.
+    """
+    p = tuple(parts)
+    conj = conjugate(p)
+    return tuple(
+        tuple(p[i] - j + conj[j] - i - 1 for j in range(p[i]))
+        for i in range(len(p))
+    )
 
 
 def test_partitions_of_counts_and_shape():
@@ -54,14 +66,14 @@ def test_conjugate_rejects_bad_input():
 
 
 def test_hook_lengths_example():
-    assert hook_lengths((4, 3, 1)) == ((6, 4, 3, 1), (4, 2, 1), (1,))
-    assert hook_lengths(()) == ()
+    assert _ref_hook_lengths((4, 3, 1)) == ((6, 4, 3, 1), (4, 2, 1), (1,))
+    assert _ref_hook_lengths(()) == ()
 
 
 def test_is_t_core_matches_hook_definition():
     for n in range(13):
         for p in partitions_of(n):
-            hooks = [h for row in hook_lengths(p) for h in row]
+            hooks = [h for row in _ref_hook_lengths(p) for h in row]
             for t in (2, 3, 4, 5, 7):
                 assert is_t_core(p, t) == all(h % t for h in hooks)
 
@@ -83,7 +95,7 @@ def test_from_diagonal_hooks_roundtrip():
             p = from_diagonal_hooks(d)
             assert sum(p) == n
             assert conjugate(p) == p
-            hooks = hook_lengths(p)
+            hooks = _ref_hook_lengths(p)
             assert tuple(hooks[i][i] for i in range(len(d))) == d
 
 
@@ -235,7 +247,7 @@ def test_sc_count_leaves_every_leaf_to_the_hook_test(monkeypatch):
 
 
 def test_sc_count_column_matches_sc_count():
-    for t in (1, 3, 5, 7, 9, 11):
+    for t in (1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11):
         assert sc_count_column(60, t) == [sc_count(n, t) for n in range(61)], t
     assert sc_count_column(1500, 7) == [sc_count(n, 7) for n in range(1501)]
     assert sc_count_column(0, 7) == [1]
@@ -261,6 +273,27 @@ def test_sc_count_column_leaves_every_candidate_to_the_hook_test(monkeypatch):
     assert sc_count_column(50, 7)[1:] == [0] * 50
 
 
+def test_both_counters_test_the_same_candidates(monkeypatch):
+    # the size-n candidates of one column are exactly those of sc_count(n, t)
+    tested = []
+
+    def recording(p, t):
+        tested.append(p)
+        return _beta_is_t_core(p, t)
+
+    monkeypatch.setattr(partitions, "_beta_is_t_core", recording)
+    for t in (1, 2, 7):
+        tested.clear()
+        column = sc_count_column(120, t)
+        by_size: dict[int, list[tuple[int, ...]]] = {}
+        for p in tested:
+            by_size.setdefault(sum(p), []).append(p)
+        for n in range(121):
+            tested.clear()
+            assert sc_count(n, t) == column[n], (n, t)
+            assert sorted(tested) == sorted(by_size.get(n, [])), (n, t)
+
+
 def test_c_count():
     # 30 partitions of 9; exactly 14 of them contain a hook of length 7,
     # so 16 survive.  (A circulating figure of 14 counts the complement.)
@@ -270,5 +303,5 @@ def test_c_count():
     for n in range(19):
         for t in (2, 3, 5, 7):
             brute = sum(1 for p in partitions_of(n)
-                        if all(h % t for row in hook_lengths(p) for h in row))
+                        if all(h % t for row in _ref_hook_lengths(p) for h in row))
             assert c_count(n, t) == brute
