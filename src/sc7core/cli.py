@@ -6,7 +6,10 @@ verify (cross-validation sweeps), forms and hurwitz (class-number data).
 One registry, ROUTES, describes the routes: how each builds its count
 column sc7(0..N) at once (enum, qseries, eta, theta), reads one count
 from it, and answers a single n.  `sc7`, `table` and `verify` all go
-through it.  Each verify check in CHECKS yields its comparisons
+through it.  `table` prints a column route's cells straight from its
+checked column, CHUNK n at a time, and a class-number route's cells one
+by one through `record_for`; one line formatter per format serves both.
+Each verify check in CHECKS yields its comparisons
 (n, (label, lhs), (label, rhs)); one sweep loop counts them and stops at
 the first mismatch.
 
@@ -25,13 +28,13 @@ dropped, and no traceback is printed.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import json
 import math
 import os
 import sys
+from itertools import chain
 from operator import getitem
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 from .arith import HypothesisViolation, InexactCount, is_fundamental
@@ -47,7 +50,10 @@ from .qseries import SC7_ETA_QUOTIENT, eta_quotient_series, format_coefficient, 
 from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_scaled, reduced_forms
 from .ternary import DECOMPOSITION_FORMS, sc7_from_rep_columns, sc7_from_thetas, theta_coeffs
 
-CSV_HEADER = ["n", "route", "value", "D_n", "H"]
+CSV_HEADER = "n,route,value,D_n,H\n"
+# `table` checks, formats and writes the cells of CHUNK n at once, so a
+# reader that stops early stops the work within one chunk.
+CHUNK = 1024
 
 
 class OutputRecord(NamedTuple):
@@ -56,19 +62,20 @@ class OutputRecord(NamedTuple):
     value: int
     extras: dict
 
-    def json_line(self) -> str:
-        rec = {"n": self.n, "route": self.route, "value": self.value}
-        rec.update(self.extras)
-        return json.dumps(rec)
 
-    def csv_row(self) -> list:
-        return [
-            str(self.n),
-            self.route,
-            str(self.value),
-            str(self.extras["D_n"]) if "D_n" in self.extras else "",
-            str(self.extras["H"]) if "H" in self.extras else "",
-        ]
+# The line formatters take the fields of an OutputRecord.  Every field is
+# an int or a route name, so no CSV field needs quoting, and the JSON line
+# is what json.dumps writes for {"n", "route", "value", **extras}.
+def _csv_line(n: int, route: str, value: int, extras) -> str:
+    return f"{n},{route},{value},{extras.get('D_n', '')},{extras.get('H', '')}\n"
+
+
+def _json_line(n: int, route: str, value: int, extras) -> str:
+    fields = "".join([f', "{key}": {v}' for key, v in extras.items()]) if extras else ""
+    return f'{{"n": {n}, "route": "{route}", "value": {value}{fields}}}\n'
+
+
+_NO_EXTRAS = MappingProxyType({})  # the extras of a cell read from a column
 
 
 class Route(NamedTuple):
@@ -140,12 +147,17 @@ def _route(name: str) -> Route:
     return ROUTES[name]
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, int) and value >= 0
+
+
 def record_for(n: int, route: str, caches: Optional[dict] = None) -> OutputRecord:
     """Evaluate one (n, route) cell, from caches[route] when the caller
     built that route's table.  Raises HypothesisViolation when the route
     does not apply at n; table mode skips such cells, single mode turns
-    them into exit code 2.  Every count leaves through here, and raises
-    InexactCount (exit code 3) unless it is a non-negative int."""
+    them into exit code 2.  Raises InexactCount (exit code 3) unless the
+    count is a non-negative int; `table` checks the cells it reads from a
+    column the same way, a chunk at a time."""
     r = _route(route)
     extras: dict = {}
     if caches and route in caches:
@@ -154,7 +166,7 @@ def record_for(n: int, route: str, caches: Optional[dict] = None) -> OutputRecor
         value, extras = r.single(n)
     else:
         value = r.read(r.table(n) if r.table else None, n)
-    if not isinstance(value, int) or value < 0:
+    if not _is_count(value):
         raise InexactCount(f"{route} route at n={n} gives {value}")
     return OutputRecord(n, route, value, extras)
 
@@ -185,34 +197,74 @@ def _positive(text: str) -> int:
 
 
 def cmd_sc7(args) -> int:
-    print(record_for(args.n, args.route).json_line())
+    sys.stdout.write(_json_line(*record_for(args.n, args.route)))
     return 0
 
 
 def cmd_table(args) -> int:
+    """Print the cells (n, route), n = 0..N in (n, route) order, as CSV
+    rows under a header or as JSON lines.  A route with a table builds its
+    column once and prints its cells straight from it; a class-number
+    route computes each cell through `record_for` and skips the cells
+    outside its hypotheses.  The cells go out CHUNK n at a time, one
+    write per chunk, so a reader that stops early stops the work within
+    one chunk.  A cell that fails (a count that is not a non-negative
+    int) ends the table after the cells before it."""
     routes = args.routes.split(",")
     for route in routes:
         _route(route)
     limit = args.max
     caches = {r: ROUTES[r].table(limit) for r in dict.fromkeys(routes) if ROUTES[r].table}
 
-    as_json = args.format == "json"
-    if not as_json:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-    # Rows go out as they are computed, so a reader that stops early
-    # stops the work too.
-    for n in range(limit + 1):
-        for route in routes:
-            try:
-                rec = record_for(n, route, caches)
-            except HypothesisViolation:
-                continue  # cell outside this route's hypotheses
-            if as_json:
-                print(rec.json_line())
-            else:
-                writer.writerow(rec.csv_row())
+    if args.format == "json":
+        line = _json_line
+    else:
+        line = _csv_line
+        sys.stdout.write(CSV_HEADER)
+    for lo in range(0, limit + 1, CHUNK):
+        text, fault = _chunk(routes, caches, lo, min(lo + CHUNK, limit + 1), line)
+        sys.stdout.write(text)
+        if fault is not None:
+            raise fault
     return 0
+
+
+def _chunk(routes: list, caches: dict, lo: int, hi: int, line: Callable) -> tuple:
+    """The text of the cells n = lo..hi-1 in (n, route) order, and None;
+    or, when a cell fails, the text of the cells before it and the
+    exception it raised.
+
+    Each route in turn fills its cells up to the first failure found so
+    far, so every cell before the last one found has been computed and
+    passed.  A column route checks the slice it is about to print at once.
+    """
+    cut, fault = (hi, 0), None  # the first failed cell: (n, position in routes)
+    cells = []  # per route, its lines from n = lo on; "" for a skipped cell
+    for p, route in enumerate(routes):
+        end = cut[0] + (p < cut[1])  # this route's cells before the cut
+        if route in caches:
+            values = caches[route][lo:end]
+            if not all(map(_is_count, values)):
+                i = next(i for i, v in enumerate(values) if not _is_count(v))
+                cut, fault = (lo + i, p), InexactCount(
+                    f"{route} route at n={lo + i} gives {values[i]}")
+                values = values[:i]
+            lines = [line(n, route, v, _NO_EXTRAS) for n, v in zip(range(lo, end), values)]
+        else:
+            lines = []
+            for n in range(lo, end):
+                try:
+                    lines.append(line(*record_for(n, route, caches)))
+                except HypothesisViolation:
+                    lines.append("")  # cell outside this route's hypotheses
+                except Exception as exc:
+                    cut, fault = (n, p), exc
+                    break
+        cells.append(lines)
+    n, p = cut
+    # zip stops at the shortest list, which ends at the cut
+    text = "".join(chain.from_iterable(zip(*cells))) + "".join(c[n - lo] for c in cells[:p])
+    return text, fault
 
 
 def cmd_forms(args) -> int:

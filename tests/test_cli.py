@@ -2,6 +2,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -343,26 +345,169 @@ def test_verify_computes_each_class_number_once(monkeypatch):
 
 
 def test_table_streams_rows(monkeypatch):
-    # A reader gone before the first row: the table stops at that row
-    # instead of computing every cell first.
+    # A reader gone before the first write: the table stops within one
+    # chunk instead of computing every cell first.
     class ClosedPipe:
+        writes = 0
+
         def write(self, text):
+            self.writes += 1
             raise BrokenPipeError
 
-    cells = []
-    real = cli.record_for
+    lines = []
+    real = cli._json_line
 
-    def counted(n, route, caches=None):
-        cells.append((n, route))
-        return real(n, route, caches)
+    def counted(*fields):
+        lines.append(fields[:2])
+        return real(*fields)
 
-    monkeypatch.setattr(cli, "record_for", counted)
-    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    monkeypatch.setattr(cli, "_json_line", counted)
+    pipe = ClosedPipe()
+    monkeypatch.setattr(sys, "stdout", pipe)
     args = cli.build_parser().parse_args(
-        ["table", "--max", "400", "--routes", "qseries,eta", "--format", "json"])
+        ["table", "--max", str(3 * cli.CHUNK), "--routes", "qseries,eta", "--format", "json"])
     with pytest.raises(BrokenPipeError):
         args.func(args)
-    assert len(cells) == 1  # of 802
+    assert pipe.writes == 1
+    assert len(lines) <= 2 * cli.CHUNK  # of 2 * (3 * CHUNK + 1)
+
+    # a class-number route computes at most one chunk of cells
+    cells = []
+    real_record = cli.record_for
+
+    def recorded(n, route, caches=None):
+        cells.append((n, route))
+        return real_record(n, route, caches)
+
+    monkeypatch.setattr(cli, "record_for", recorded)
+    args = cli.build_parser().parse_args(
+        ["table", "--max", str(3 * cli.CHUNK), "--routes", "qseries,theorem", "--format", "json"])
+    with pytest.raises(BrokenPipeError):
+        args.func(args)
+    assert 0 < len(cells) <= cli.CHUNK  # of 3 * CHUNK + 1
+
+
+def _ref_table(argv):
+    """The per-cell table writer, as an oracle for `cmd_table`: one
+    `record_for` per cell, written through csv.writer or json.dumps.
+    Returns (exit code, stdout, stderr) with the exit codes of `cli.main`."""
+    import csv
+    import io
+
+    from sc7core.arith import HypothesisViolation, InexactCount
+
+    args = cli.build_parser().parse_args(argv)
+    out = io.StringIO()
+    try:
+        routes = args.routes.split(",")
+        for route in routes:
+            cli._route(route)
+        caches = {r: cli.ROUTES[r].table(args.max)
+                  for r in dict.fromkeys(routes) if cli.ROUTES[r].table}
+        writer = csv.writer(out, lineterminator="\n")
+        if args.format == "csv":
+            writer.writerow(["n", "route", "value", "D_n", "H"])
+        for n in range(args.max + 1):
+            for route in routes:
+                try:
+                    rec = cli.record_for(n, route, caches)
+                except HypothesisViolation:
+                    continue
+                if args.format == "json":
+                    out.write(json.dumps({"n": rec.n, "route": rec.route,
+                                          "value": rec.value, **rec.extras}) + "\n")
+                else:
+                    writer.writerow([str(rec.n), rec.route, str(rec.value),
+                                     str(rec.extras.get("D_n", "")),
+                                     str(rec.extras.get("H", ""))])
+    except InexactCount as exc:
+        return 3, out.getvalue(), f"error: {exc}\n"
+    except ValueError as exc:
+        return 1, out.getvalue(), f"error: {exc}\n"
+    return 0, out.getvalue(), ""
+
+
+def _run_table(argv):
+    """cli.main in process: (exit code, stdout, stderr)."""
+    import io
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+ALL_ROUTES = "enum,qseries,eta,theta,theorem,cor2,qseries"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_matches_the_per_cell_writer(fmt):
+    for N in (0, 1, cli.CHUNK - 1, cli.CHUNK, cli.CHUNK + 1):
+        for routes in (ALL_ROUTES, "qseries,eta,theta"):
+            argv = ["table", "--max", str(N), "--routes", routes, "--format", fmt]
+            expected = _ref_table(argv)
+            assert expected[0] == 0 and expected[1]
+            assert _run_table(argv) == expected, argv
+
+
+def _corrupt_eta(monkeypatch, n, value):
+    real = cli.eta_quotient_series
+
+    def corrupted(spec, prec):
+        coeffs = list(real(spec, prec).coeffs)
+        coeffs[n + 2] = value  # sc7(n) sits at q^(n+2)
+        return SimpleNamespace(coeffs=tuple(coeffs))
+
+    monkeypatch.setattr(cli, "eta_quotient_series", corrupted)
+
+
+def _corrupt_qseries(monkeypatch, n, value):
+    real = cli.sc_series
+
+    def corrupted(t, prec):
+        coeffs = list(real(t, prec).coeffs)
+        coeffs[n] = value
+        return SimpleNamespace(coeffs=tuple(coeffs))
+
+    monkeypatch.setattr(cli, "sc_series", corrupted)
+
+
+def _corrupt_theorem(monkeypatch, n, value):
+    real = cli.sc7_from_class_number
+    monkeypatch.setattr(cli, "sc7_from_class_number",
+                        lambda m: value if m == n else real(m))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("corrupt, n, value", [
+    (_corrupt_eta, 0, -1),
+    (_corrupt_eta, 0, Fraction(1, 2)),
+    (_corrupt_qseries, 5, -3),
+    (_corrupt_qseries, 5, Fraction(7, 3)),
+    (_corrupt_theorem, 9, -1),
+])
+def test_table_fault_prefix_matches_the_per_cell_writer(monkeypatch, fmt, corrupt, n, value):
+    # a bad count in the second chunk: the same cells before it, the
+    # same error line and exit 3 as cell by cell
+    corrupt(monkeypatch, cli.CHUNK + n, value)
+    argv = ["table", "--max", str(cli.CHUNK + 20),
+            "--routes", "theorem,qseries,eta,cor2,eta,theta", "--format", fmt]
+    expected = _ref_table(argv)
+    assert expected[0] == 3 and expected[2].startswith("error: ") and str(value) in expected[2]
+    assert _run_table(argv) == expected
+
+
+def test_table_refusal_prefix_matches_the_per_cell_writer(monkeypatch):
+    # cor2 refuses a character sum too large in the second chunk: exit 1
+    # after the same cells
+    from sc7core import eisenstein
+
+    monkeypatch.setattr(eisenstein, "COR2_MAX_D", 28 * (cli.CHUNK + 10))
+    argv = ["table", "--max", str(cli.CHUNK + 40), "--routes", "qseries,cor2,eta"]
+    expected = _ref_table(argv)
+    assert expected[0] == 1 and "theorem" in expected[2]
+    assert _run_table(argv) == expected
 
 
 def test_class_number_route_rejects_a_non_integral_count(monkeypatch, capsys):
