@@ -1,11 +1,15 @@
 """Run every route on the same stretch of n and watch them agree.
 
-The routes are the entries of the CLI's route registry, `cli.ROUTES`;
-each table is built once and every cell is read through `record_for`,
-just as `sc7core table` does.
+The routes are the entries of the CLI's route registry, `cli.ROUTES`.
+Just as `sc7core table` does, each route with a table (enum, qseries,
+eta, theta) builds its count column once and is read straight from it,
+and the class-number routes (theorem, cor2) answer each n through
+`record_for`.  The agreement checks run under `python -O` too.
 
 Usage: python3 demos/five_routes.py
 """
+
+import sys
 
 from sc7core.arith import HypothesisViolation
 from sc7core.cli import ROUTES, record_for
@@ -27,18 +31,20 @@ LIMIT = 40
 # The last two only speak about odd n outside 5 mod 7 (cor2 also needs
 # a fundamental discriminant); everywhere else they raise
 # HypothesisViolation rather than guess, and the table shows "-".
-caches = {name: route.table(LIMIT) for name, route in ROUTES.items() if route.table}
+columns = {name: route.table(LIMIT) for name, route in ROUTES.items() if route.table}
+by_cell = [name for name in ROUTES if name not in columns]
 
 print(f"{'n':>3}" + "".join(f" {name:>8}" for name in ROUTES))
 rows = []
 for n in range(LIMIT + 1):
-    row = {}
-    for name in ROUTES:
+    row = {name: column[n] for name, column in columns.items()}
+    for name in by_cell:
         try:
-            row[name] = record_for(n, name, caches).value
+            row[name] = record_for(n, name).value
         except HypothesisViolation:
             pass
-    assert len(set(row.values())) == 1, (n, row)
+    if len(set(row.values())) != 1:
+        sys.exit(f"routes disagree at n = {n}: {row}")
     rows.append(row)
     print(f"{n:>3}" + "".join(f" {row.get(name, '-'):>8}" for name in ROUTES))
 
@@ -48,5 +54,6 @@ for n in range(LIMIT + 1):
 #     where no class-number expression exists, yet the other four routes
 #     still produce the count.
 zeros = [n for n in range(7, LIMIT + 1, 8)]
-assert all(rows[n]["qseries"] == 0 for n in zeros)
+if any(rows[n]["qseries"] for n in zeros):
+    sys.exit(f"a count at n = 7 mod 8 is not zero: {[rows[n] for n in zeros]}")
 print(f"\nvanishing at n = 7 mod 8: {zeros} all zero")

@@ -3,13 +3,12 @@
 Subcommands: sc7 (one count, chosen route), table (batch CSV/JSON),
 verify (cross-validation sweeps), forms and hurwitz (class-number data).
 
-One registry, ROUTES, describes the routes: how each builds its count
-column sc7(0..N) at once (enum, qseries, eta, theta), reads one count
-from it, and answers a single n.  `sc7`, `table` and `verify` all go
-through it.  `table` prints a column route's cells straight from its
-checked column, CHUNK n at a time, and a class-number route's cells one
-by one through `record_for`; one line formatter per format serves both.
-Each verify check in CHECKS yields its comparisons
+One registry, ROUTES, describes the routes, and `sc7`, `table`, `verify`
+and the demos all go through it.  `record_for` evaluates one cell by a
+route's count(n), else its table(N = n).  `table` prints a column route's
+cells straight from its column, checked CHUNK n at a time, and the other
+routes' cells through `record_for`; one line formatter per format serves
+both.  Each verify check in CHECKS yields its comparisons
 (n, (label, lhs), (label, rhs)); one sweep loop counts them and stops at
 the first mismatch.
 
@@ -33,9 +32,8 @@ import math
 import os
 import sys
 from itertools import chain
-from operator import getitem
 from types import MappingProxyType
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import HypothesisViolation, InexactCount, is_fundamental
 from .eisenstein import (
@@ -75,45 +73,36 @@ def _json_line(n: int, route: str, value: int, extras) -> str:
     return f'{{"n": {n}, "route": "{route}", "value": {value}{fields}}}\n'
 
 
-_NO_EXTRAS = MappingProxyType({})  # the extras of a cell read from a column
+_NO_EXTRAS = MappingProxyType({})  # the extras of a route that reports none
 
 
 class Route(NamedTuple):
-    """One way to compute sc7(n).  table(N) builds, once, the route's
-    count column: sc7(0..N) as a plain sequence, which read(table, n)
-    indexes with `operator.getitem`.  A route without a table (None)
-    stands alone at each n, and read(None, n) computes that count.
-    single(n) gives (count, extras) for one n where a route reports
-    extras or has a faster path for one n than building a table (enum
-    counts one n with `sc_count`, its column with `sc_count_column`);
-    without it, one n reads a table built to N = n.
+    """One way to compute sc7(n).  table(N) builds the count column
+    sc7(0..N) at once (enum, qseries, eta, theta).  count(n) answers one n
+    on its own: the only path of theorem and cor2, and a faster one than a
+    table to N = n for enum and theta.  extras(n, value) gives the D_n and
+    H fields a class-number route reports with its checked count.  Entries
+    call the library through this module's names at call time, so
+    patching `cli.sc_series` (say) reaches them."""
 
-    Entries call the library through this module's names at call time,
-    so patching `cli.sc_series` (say) reaches them.
-    """
-
-    read: Callable[[object, int], int]
-    table: Optional[Callable[[int], object]] = None
-    single: Optional[Callable[[int], tuple]] = None
+    table: Optional[Callable[[int], Sequence]] = None
+    count: Optional[Callable[[int], int]] = None
+    extras: Optional[Callable[[int, int], dict]] = None
 
 
-def _class_number_route(count: Callable[[int], int]) -> Route:
-    """A route whose count(n) is H(-D_n) / 2^(epsilon+1), which count has
-    already checked to be a non-negative integer.  single(n) reports D_n
-    and H(-D_n) with it, reading H exactly back from the count, so no
-    second class number is built.  At n = 7 mod 8 the count reads no class
-    number, and H comes from `hurwitz`; there D_n = 7 mod 8 is neither 3k^2
-    nor 4k^2, so H is an integer, and InexactCount is raised if it is not."""
-    def single(n: int) -> tuple:
-        value = count(n)
-        d = discriminant_of(n)
-        if n % 8 != 7:
-            return value, {"D_n": d.D, "H": value * 2 ** (d.epsilon + 1)}
-        H = hurwitz(d.D)
-        if H.denominator != 1:
-            raise InexactCount(f"class number H(-{d.D}) at n={n} is {format_coefficient(H)}")
-        return value, {"D_n": d.D, "H": H.numerator}
-    return Route(read=lambda _, n: count(n), single=single)
+def _class_number_extras(n: int, value: int) -> dict:
+    """D_n and H(-D_n) for a class-number count value = H(-D_n) /
+    2^(epsilon+1), recovering H exactly from value, so no second class
+    number is built; except at n = 7 mod 8, where the count uses none and
+    H comes from `hurwitz`.  That D_n = 7 mod 8 is neither 3k^2 nor 4k^2,
+    so H is an integer, and InexactCount is raised if it is not."""
+    d = discriminant_of(n)
+    if n % 8 != 7:
+        return {"D_n": d.D, "H": value * 2 ** (d.epsilon + 1)}
+    H = hurwitz(d.D)
+    if H.denominator != 1:
+        raise InexactCount(f"class number H(-{d.D}) at n={n} is {format_coefficient(H)}")
+    return {"D_n": d.D, "H": H.numerator}
 
 
 def _theta_reps(N: int) -> list:
@@ -128,16 +117,14 @@ def _theta_column(reps: list, N: int) -> list:
 
 
 ROUTES = {
-    "enum": Route(read=getitem, table=lambda N: sc_count_column(N, 7),
-                  single=lambda n: (sc_count(n, 7), {})),
-    "qseries": Route(read=getitem, table=lambda N: sc_series(7, N + 1).coeffs),
+    "enum": Route(table=lambda N: sc_count_column(N, 7), count=lambda n: sc_count(n, 7)),
+    "qseries": Route(table=lambda N: sc_series(7, N + 1).coeffs),
     # the eta quotient carries sc7(n) at q^(n+2)
-    "eta": Route(read=getitem,
-                 table=lambda N: eta_quotient_series(SC7_ETA_QUOTIENT, N + 3).coeffs[2:]),
-    "theta": Route(read=getitem, table=lambda N: _theta_column(_theta_reps(N), N),
-                   single=lambda n: (sc7_from_thetas(n), {})),
-    "theorem": _class_number_route(lambda n: sc7_from_class_number(n)),
-    "cor2": _class_number_route(lambda n: sc7_from_character_sum(n)),
+    "eta": Route(table=lambda N: eta_quotient_series(SC7_ETA_QUOTIENT, N + 3).coeffs[2:]),
+    "theta": Route(table=lambda N: _theta_column(_theta_reps(N), N),
+                   count=lambda n: sc7_from_thetas(n)),
+    "theorem": Route(count=lambda n: sc7_from_class_number(n), extras=_class_number_extras),
+    "cor2": Route(count=lambda n: sc7_from_character_sum(n), extras=_class_number_extras),
 }
 
 
@@ -151,24 +138,22 @@ def _is_count(value) -> bool:
     return isinstance(value, int) and value >= 0
 
 
-def record_for(n: int, route: str, caches: Optional[dict] = None) -> OutputRecord:
-    """Evaluate one (n, route) cell, from caches[route] when the caller
-    built that route's table.  Raises HypothesisViolation when the route
-    does not apply at n; table mode skips such cells, single mode turns
-    them into exit code 2.  Raises InexactCount (exit code 3) unless the
-    count is a non-negative int; `table` checks the cells it reads from a
-    column the same way, a chunk at a time."""
+def _not_a_count(route: str, n: int, value) -> InexactCount:
+    return InexactCount(f"{route} route at n={n} gives {value}")
+
+
+def record_for(n: int, route: str) -> OutputRecord:
+    """Evaluate one (n, route) cell: count(n) when the route has one,
+    else its table built to N = n, at n.  Raises HypothesisViolation
+    when the route does not apply at n; table mode skips such cells,
+    single mode turns them into exit code 2.  Raises InexactCount (exit
+    code 3) unless the count is a non-negative int; `table` checks the
+    cells it reads from a column the same way, a chunk at a time."""
     r = _route(route)
-    extras: dict = {}
-    if caches and route in caches:
-        value = r.read(caches[route], n)
-    elif r.single:
-        value, extras = r.single(n)
-    else:
-        value = r.read(r.table(n) if r.table else None, n)
+    value = r.count(n) if r.count else r.table(n)[n]
     if not _is_count(value):
-        raise InexactCount(f"{route} route at n={n} gives {value}")
-    return OutputRecord(n, route, value, extras)
+        raise _not_a_count(route, n, value)
+    return OutputRecord(n, route, value, r.extras(n, value) if r.extras else _NO_EXTRAS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -214,7 +199,7 @@ def cmd_table(args) -> int:
     for route in routes:
         _route(route)
     limit = args.max
-    caches = {r: ROUTES[r].table(limit) for r in dict.fromkeys(routes) if ROUTES[r].table}
+    columns = {r: ROUTES[r].table(limit) for r in dict.fromkeys(routes) if ROUTES[r].table}
 
     if args.format == "json":
         line = _json_line
@@ -222,14 +207,14 @@ def cmd_table(args) -> int:
         line = _csv_line
         sys.stdout.write(CSV_HEADER)
     for lo in range(0, limit + 1, CHUNK):
-        text, fault = _chunk(routes, caches, lo, min(lo + CHUNK, limit + 1), line)
+        text, fault = _chunk(routes, columns, lo, min(lo + CHUNK, limit + 1), line)
         sys.stdout.write(text)
         if fault is not None:
             raise fault
     return 0
 
 
-def _chunk(routes: list, caches: dict, lo: int, hi: int, line: Callable) -> tuple:
+def _chunk(routes: list, columns: dict, lo: int, hi: int, line: Callable) -> tuple:
     """The text of the cells n = lo..hi-1 in (n, route) order, and None;
     or, when a cell fails, the text of the cells before it and the
     exception it raised.
@@ -242,19 +227,18 @@ def _chunk(routes: list, caches: dict, lo: int, hi: int, line: Callable) -> tupl
     cells = []  # per route, its lines from n = lo on; "" for a skipped cell
     for p, route in enumerate(routes):
         end = cut[0] + (p < cut[1])  # this route's cells before the cut
-        if route in caches:
-            values = caches[route][lo:end]
+        if route in columns:
+            values = columns[route][lo:end]
             if not all(map(_is_count, values)):
                 i = next(i for i, v in enumerate(values) if not _is_count(v))
-                cut, fault = (lo + i, p), InexactCount(
-                    f"{route} route at n={lo + i} gives {values[i]}")
+                cut, fault = (lo + i, p), _not_a_count(route, lo + i, values[i])
                 values = values[:i]
             lines = [line(n, route, v, _NO_EXTRAS) for n, v in zip(range(lo, end), values)]
         else:
             lines = []
             for n in range(lo, end):
                 try:
-                    lines.append(line(*record_for(n, route, caches)))
+                    lines.append(line(*record_for(n, route)))
                 except HypothesisViolation:
                     lines.append("")  # cell outside this route's hypotheses
                 except Exception as exc:
@@ -287,10 +271,10 @@ def cmd_hurwitz(args) -> int:
 # needs, and reads only the entries its own bound covers.
 
 def _against_qseries(route: str, limit: int, tables: dict, keep=None):
-    read, table, qs = ROUTES[route].read, tables.get(route), tables["qseries"]
+    column, count, qs = tables.get(route), ROUTES[route].count, tables["qseries"]
     for n in range(limit + 1):
         if keep is None or keep(n):
-            yield n, (route, read(table, n)), ("qseries", qs[n])
+            yield n, (route, count(n) if column is None else column[n]), ("qseries", qs[n])
 
 
 # route-equivalence checks each route against the q-series, in this
@@ -355,9 +339,9 @@ class Check(NamedTuple):
 # combined from.  The formulas are looked up by name at call time, so a
 # wrapper put on this module's names (a tracer, a test) sees their calls.
 CHECKS = {
-    "route-equivalence": Check(2000, lambda n: {
-        "qseries": n, "eta": n, "theta": min(n, EQUIVALENCE["theta"][0]),
-        "enum": min(n, EQUIVALENCE["enum"][0])}, _route_equivalence),
+    "route-equivalence": Check(2000, lambda n: {"qseries": n, **{
+        route: min(n, cap) for route, (cap, _) in EQUIVALENCE.items() if ROUTES[route].table}},
+        _route_equivalence),
     "vanishing-7mod8": Check(2000, lambda n: {"qseries": n}, _vanishing),
     "theta-identity": Check(498, lambda n: {"qseries": n, "theta": n},
                             lambda n, tables: _against_qseries("theta", n, tables)),

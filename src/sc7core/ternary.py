@@ -201,15 +201,9 @@ def sc7_from_rep_columns(columns) -> list:
     return [total // den for total in totals]
 
 
-def sc7_from_reps(reps) -> int:
-    """sc7(n) from the representation numbers (R1, R2, R3) of the three
-    decomposition forms at n + 2: `sc7_from_rep_columns` at one index,
-    with its checks."""
-    return sc7_from_rep_columns([[r] for r in reps])[0]
-
-
 def sc7_from_thetas(n: int) -> int:
-    """Self-conjugate 7-core count via representation numbers at n + 2."""
+    """Self-conjugate 7-core count via representation numbers at n + 2:
+    `sc7_from_rep_columns` at one index, with its checks."""
     if n < 0:
         raise ValueError(f"need a non-negative n, got {n}")
-    return sc7_from_reps([rep_count(Q, n + 2) for Q in DECOMPOSITION_FORMS])
+    return sc7_from_rep_columns([[rep_count(Q, n + 2)] for Q in DECOMPOSITION_FORMS])[0]

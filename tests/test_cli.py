@@ -50,6 +50,42 @@ def test_sc7_enum_route_builds_no_column(monkeypatch):
         assert code == 0 and json.loads(out)["value"] == value
 
 
+def _record_builds(monkeypatch, *names):
+    """Wrap each named library function of `cli`; returns the list that
+    collects (name, *args) of every call."""
+    builds = []
+
+    def recorded(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            builds.append((name, *args))
+            return real(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, recorded(name))
+    return builds
+
+
+@pytest.mark.parametrize("route, n, value, built", [
+    ("theta", 1500, 30, []),  # one rep_count per form, no theta series
+    ("theorem", 1509, 22, []),
+    ("theorem", 1511, 0, []),  # n = 7 mod 8: H from `hurwitz`
+    ("cor2", 1509, 22, []),
+    ("qseries", 1500, 30, [("sc_series", 7, 1501)]),
+    ("eta", 1500, 30, [("eta_quotient_series", cli.SC7_ETA_QUOTIENT, 1503)]),
+])
+def test_sc7_builds_at_most_one_column(monkeypatch, route, n, value, built):
+    # a route with count(n) builds no column (enum: the test above); the
+    # others build one, to N = n
+    builds = _record_builds(monkeypatch, "sc_series", "eta_quotient_series",
+                            "theta_coeffs", "sc_count_column")
+    code, out = run_cli("sc7", str(n), "--route", route)
+    assert code == 0 and json.loads(out)["value"] == value
+    assert builds == built
+
+
 def test_sc7_every_route_small():
     for route in cli.ROUTES:
         code, out = run_cli("sc7", "9", "--route", route)
@@ -291,36 +327,33 @@ def test_theta_route_rejects_a_non_integral_count(monkeypatch, capsys):
         assert err.startswith("error: theta combination gives ") and "/" in err
 
 
+def _theta_builds(prec):
+    return [("theta_coeffs", Q, prec) for Q in cli.DECOMPOSITION_FORMS]
+
+
 def test_verify_builds_each_series_once(monkeypatch):
-    calls = {"sc_series": 0, "eta_quotient_series": 0, "theta_coeffs": 0}
-
-    def counted(name):
-        real = getattr(cli, name)
-
-        def wrapper(*args):
-            calls[name] += 1
-            return real(*args)
-        return wrapper
-
-    for name in calls:
-        monkeypatch.setattr(cli, name, counted(name))
-    code, out = run_cli("verify", "--max", "40")
-    assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
-    assert calls == {"sc_series": 1, "eta_quotient_series": 1, "theta_coeffs": 3}
+    # one build per series, at the largest n any check needs: at the
+    # default bounds, qseries and eta to 2000 and the reps to 498 (the
+    # theta column's cap, above the lattice checks' 299), shared with the
+    # theta column; the theta route is never counted one n at a time
+    for argv, N, theta in ((["--max", "40"], 40, 40), ([], 2000, 498)):
+        builds = _record_builds(monkeypatch, "sc_series", "eta_quotient_series",
+                                "theta_coeffs", "sc7_from_thetas")
+        code, out = run_cli("verify", *argv)
+        assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
+        assert builds == [("sc_series", 7, N + 1),
+                          ("eta_quotient_series", cli.SC7_ETA_QUOTIENT, N + 3),
+                          *_theta_builds(theta + 3)], argv
 
 
 def test_verify_builds_the_enum_column_once(monkeypatch):
-    calls = []
-    real = cli.sc_count_column
-
-    def counted(N, t):
-        calls.append((N, t))
-        return real(N, t)
-
-    monkeypatch.setattr(cli, "sc_count_column", counted)
-    code, out = run_cli("verify", "--max", "40")
-    assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
-    assert calls == [(40, 7)]
+    # to the bound, up to route-equivalence's cap of 300 for enum, and
+    # no n counted on its own
+    for argv, N in ((["--max", "40"], 40), ([], 300)):
+        builds = _record_builds(monkeypatch, "sc_count_column", "sc_count")
+        code, out = run_cli("verify", *argv)
+        assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
+        assert builds == [("sc_count_column", N, 7)], argv
 
 
 def test_verify_computes_each_class_number_once(monkeypatch):
@@ -375,9 +408,9 @@ def test_table_streams_rows(monkeypatch):
     cells = []
     real_record = cli.record_for
 
-    def recorded(n, route, caches=None):
+    def recorded(n, route):
         cells.append((n, route))
-        return real_record(n, route, caches)
+        return real_record(n, route)
 
     monkeypatch.setattr(cli, "record_for", recorded)
     args = cli.build_parser().parse_args(
@@ -388,9 +421,11 @@ def test_table_streams_rows(monkeypatch):
 
 
 def _ref_table(argv):
-    """The per-cell table writer, as an oracle for `cmd_table`: one
-    `record_for` per cell, written through csv.writer or json.dumps.
-    Returns (exit code, stdout, stderr) with the exit codes of `cli.main`."""
+    """The per-cell table writer, as an oracle for `cmd_table`: each
+    column route's cells read from its column and checked here, each
+    class-number route's cells through `record_for`, written one by one
+    through csv.writer or json.dumps.  Returns (exit code, stdout,
+    stderr) with the exit codes of `cli.main`."""
     import csv
     import io
 
@@ -402,24 +437,28 @@ def _ref_table(argv):
         routes = args.routes.split(",")
         for route in routes:
             cli._route(route)
-        caches = {r: cli.ROUTES[r].table(args.max)
-                  for r in dict.fromkeys(routes) if cli.ROUTES[r].table}
+        columns = {r: cli.ROUTES[r].table(args.max)
+                   for r in dict.fromkeys(routes) if cli.ROUTES[r].table}
         writer = csv.writer(out, lineterminator="\n")
         if args.format == "csv":
             writer.writerow(["n", "route", "value", "D_n", "H"])
         for n in range(args.max + 1):
             for route in routes:
-                try:
-                    rec = cli.record_for(n, route, caches)
-                except HypothesisViolation:
-                    continue
-                if args.format == "json":
-                    out.write(json.dumps({"n": rec.n, "route": rec.route,
-                                          "value": rec.value, **rec.extras}) + "\n")
+                if route in columns:
+                    value, extras = columns[route][n], {}
+                    if not isinstance(value, int) or value < 0:
+                        raise InexactCount(f"{route} route at n={n} gives {value}")
                 else:
-                    writer.writerow([str(rec.n), rec.route, str(rec.value),
-                                     str(rec.extras.get("D_n", "")),
-                                     str(rec.extras.get("H", ""))])
+                    try:
+                        _, _, value, extras = cli.record_for(n, route)
+                    except HypothesisViolation:
+                        continue
+                if args.format == "json":
+                    out.write(json.dumps({"n": n, "route": route,
+                                          "value": value, **extras}) + "\n")
+                else:
+                    writer.writerow([str(n), route, str(value),
+                                     str(extras.get("D_n", "")), str(extras.get("H", ""))])
     except InexactCount as exc:
         return 3, out.getvalue(), f"error: {exc}\n"
     except ValueError as exc:

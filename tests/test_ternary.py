@@ -18,7 +18,6 @@ from sc7core.ternary import (
     TernaryQF,
     rep_count,
     sc7_from_rep_columns,
-    sc7_from_reps,
     sc7_from_thetas,
     theta_coeffs,
 )
@@ -215,15 +214,16 @@ def test_sc7_from_thetas_matches_enumeration():
         assert value == sc_count(n, 7)
 
 
-def test_sc7_from_reps_is_checked_exact():
+def test_sc7_from_rep_columns_is_checked_exact():
     # R(n + 2) of the three forms at n = 9: (16 - 2*0 + 12)/14 = 2
     reps = [rep_count(Q, 11) for Q in DECOMPOSITION_FORMS]
     assert reps == [16, 0, 12]
-    assert sc7_from_reps(reps) == 2 and type(sc7_from_reps(reps)) is int
+    value = sc7_from_rep_columns([[r] for r in reps])
+    assert value == [2] and type(value[0]) is int
     with pytest.raises(InexactCount, match="29/14"):
-        sc7_from_reps([17, 0, 12])
+        sc7_from_rep_columns([[17], [0], [12]])
     with pytest.raises(InexactCount, match="-1"):
-        sc7_from_reps([0, 7, 0])
+        sc7_from_rep_columns([[0], [7], [0]])
 
 
 def test_sc7_from_rep_columns_rejects_malformed_columns():
@@ -234,8 +234,6 @@ def test_sc7_from_rep_columns_rejects_malformed_columns():
                     [[16], [0]]):
         with pytest.raises(ValueError, match="columns of equal length"):
             sc7_from_rep_columns(columns)
-    with pytest.raises(ValueError, match="columns of equal length"):
-        sc7_from_reps([16, 0, 12, 5])
     assert sc7_from_rep_columns([[16, 14], [0, 0], [12, 0]]) == [2, 1]
 
 
