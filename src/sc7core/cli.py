@@ -8,9 +8,10 @@ and the demos all go through it.  `record_for` evaluates one cell by a
 route's count(n), else its table(N = n).  `table` prints a column route's
 cells straight from its column, checked CHUNK n at a time, and the other
 routes' cells through `record_for`; one line formatter per format serves
-both.  Each verify check in CHECKS yields its comparisons
-(n, (label, lhs), (label, rhs)); one sweep loop counts them and stops at
-the first mismatch.
+both, and builds the row template that writes each n in one format
+call when every route has a column.  Each verify check in CHECKS yields
+its comparisons (n, (label, lhs), (label, rhs)); one sweep loop counts
+them and stops at the first mismatch.
 
 Exit codes: 0 success; 1 usage error, malformed input, or a query too
 large for the chosen route; 2 input that is well-formed but outside a
@@ -214,15 +215,31 @@ def cmd_table(args) -> int:
     return 0
 
 
+def _row_format(routes: list, line: Callable) -> str:
+    """A %-format template for the lines of one n of column routes:
+    `line` for each route in turn, with %d for its n and for its value,
+    which `line` writes in that order."""
+    return "".join(line("\0", route, "\1", _NO_EXTRAS).replace("%", "%%")
+                   .replace("\0", "%d").replace("\1", "%d") for route in routes)
+
+
 def _chunk(routes: list, columns: dict, lo: int, hi: int, line: Callable) -> tuple:
     """The text of the cells n = lo..hi-1 in (n, route) order, and None;
     or, when a cell fails, the text of the cells before it and the
     exception it raised.
 
-    Each route in turn fills its cells up to the first failure found so
-    far, so every cell before the last one found has been computed and
-    passed.  A column route checks the slice it is about to print at once.
+    When every route has a column and every slice to print holds only
+    non-negative ints, each n is one format call with the `_row_format`
+    template.  Otherwise each route in turn fills its cells up to the
+    first failure found so far, so every cell before the last one found
+    has been computed and passed; a column route checks the slice it is
+    about to print at once.
     """
+    if all(route in columns for route in routes):
+        slices = [columns[route][lo:hi] for route in routes]
+        if all(set(map(type, s)) <= {int} and min(s) >= 0 for s in slices):
+            fields = zip(*chain.from_iterable((range(lo, hi), s) for s in slices))
+            return "".join(map(_row_format(routes, line).__mod__, fields)), None
     cut, fault = (hi, 0), None  # the first failed cell: (n, position in routes)
     cells = []  # per route, its lines from n = lo on; "" for a skipped cell
     for p, route in enumerate(routes):

@@ -18,25 +18,33 @@ Neither kernel loops over x:
 
 - `rep_count(Q, m)` solves a x^2 + B x + (C - m) = 0 for integer x with
   one isqrt per (y, z): O(m) steps.
-- `theta_coeffs(Q, N)` sorts the (y, z) of the box by the residue r of
-  B mod 2a in one O(N) sweep, then multiplies each residue row by the
-  sparse series sum_x q^(a x^2 + r x): O(sqrt(N/a)) shifted adds per row
-  on one packed integer (`qseries._mul_packed`), each C-level.
+- `theta_coeffs(Q, N)` walks the (y, z) box in lines of fixed z and
+  fixed y mod h, along which the residue r of B mod 2a is fixed and the
+  lowest value of Q over x is a quadratic in y.  Each line is one
+  C-level `itertools.accumulate`, O(sqrt(N)) Python steps for the O(N)
+  points of the box.  Then it multiplies each residue row by the
+  sparse series sum_x q^(a x^2 + r x): O(sqrt(N/a)) shifted adds per
+  row on one packed integer (`qseries._mul_packed`), each C-level.
 
 Both replace a sweep over every lattice point of the box, O(N^1.5)
-steps.  On one core of a 2-vCPU VM (Python 3.11, best of 5 or 15 runs,
+steps.  On one core of a 2-vCPU VM (Python 3.11.7, best of 15 runs,
 which drift between runs), the three decomposition forms cost about
-0.003-0.007 s for `theta_coeffs` at N = 4000 and 0.007-0.02 s at
-N = 10000, most of it the box sweep (with one slice-add per term,
-0.009-0.013 and 0.037-0.052 s), and 0.003-0.004 s for `rep_count` at
-m = 1500, 0.03-0.05 s at m = 20003 and 0.16-0.24 s at m = 100003.
+0.001-0.002 s for `theta_coeffs` at N = 4000, 0.003-0.005 s at
+N = 10000 and 0.09-0.15 s at N = 10^5, where the shifted adds lead
+(with one Python step per (y, z): 0.001-0.004, 0.006-0.009 and
+0.10-0.28 s), and 0.003-0.004 s for `rep_count` at m = 1500, 0.03-0.05 s at
+m = 20003 and 0.16-0.24 s at m = 100003.
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt, lcm
+from functools import partial, reduce
+from itertools import accumulate, chain, repeat
+from math import gcd, isqrt, lcm
+from operator import add, mod, mul
 
 from .arith import InexactCount
 from .qseries import (QSeries, _mul_packed, _pack, _packed_width, _unpack, _x_terms,
@@ -128,35 +136,50 @@ def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:
 
     With (y, z) fixed, Q = a x^2 + B x + C.  Writing B = 2a k + r with
     -a < r <= a and x = x' - k gives Q = a x'^2 + r x' + C', where
-    a x'^2 + r x' >= 0 and C' = C - a k^2 - r k.  One sweep over the
-    (y, z) box (O(N) steps for N = prec) adds each (y, z) to a dense row
-    P_r at exponent C'; then Theta_Q = sum_r T_r P_r with
-    T_r = sum_x' q^(a x'^2 + r x'), which has O(sqrt(N/a)) terms.  Each
-    row is packed once (`qseries._pack`) and each term is one shifted add
+    a x'^2 + r x' >= 0 and C' = C - a k^2 - r k.  Every point of the
+    (y, z) box with C' < N = prec adds one to a dense row P_r at exponent
+    C'; then Theta_Q = sum_r T_r P_r with T_r = sum_x' q^(a x'^2 + r x'),
+    which has O(sqrt(N/a)) terms.
+
+    The box is walked in lines: z fixed and y = y0 + h t, with
+    h = 2a / gcd(f, 2a), the least step that moves B = e z + f y by a
+    multiple 2a kappa of 2a (kappa = f h / 2a).  Along a line r is fixed,
+    k = k0 + kappa t, and C' is a quadratic in t with leading coefficient
+    alpha = b h^2 - a kappa^2 = A h^2 / 4a > 0 (A as in the module
+    docstring), so its differences step by 2 alpha.  Each line is one
+    `accumulate` over a `range`, and one `Counter` per r counts all its
+    lines; the box has O(sqrt(N)) lines of O(sqrt(N)) points, and no
+    Python step runs per point.  Each row is
+    packed once (`qseries._pack`) and each term of T_r is one shifted add
     on the packed row, all summed into one packed integer, so no Python
-    step runs per coefficient.  Every coefficient of the sum is at most
-    sum_r (sum of T_r's multiplicities) * max(P_r), all terms >= 0, and
-    that bound sets the slot width.  At most 2a residues r occur; the
+    step runs per coefficient either.  Every coefficient of the sum is at
+    most sum_r (sum of T_r's multiplicities) * max(P_r), all terms >= 0,
+    and that bound sets the slot width.  At most 2a residues r occur; the
     three decomposition forms need one, one and two rows.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
     zmax, y_range = Q._box(prec - 1)
     a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
-    rows: dict = {}
+    h = 2 * a // gcd(f, 2 * a)  # y -> y + h moves B by 2a * kappa
+    kappa = f * h // (2 * a)
+    alpha = b * h * h - a * kappa * kappa  # = A h^2 / 4a > 0
+    lines = defaultdict(list)  # r -> the lines of C' values with residue r
     for z in range(-zmax, zmax + 1):
         ylo, yhi = y_range(z)
-        for y in range(ylo, yhi + 1):
+        for y in range(ylo, min(ylo + h, yhi + 1)):
             B = e * z + f * y
             k, r = divmod(B, 2 * a)
             if r > a:
                 k, r = k + 1, r - 2 * a
             low = b * y * y + c * z * z + d * y * z - a * k * k - r * k
-            if low < prec:
-                row = rows.get(r)
-                if row is None:
-                    row = rows[r] = [0] * prec
-                row[low] += 1
+            step = h * (2 * b * y + d * z) - kappa * B + alpha  # C'(y + h) - C'(y)
+            last = step + 2 * alpha * ((yhi - y) // h)  # one past the last step
+            lines[r].append(accumulate(range(step, last, 2 * alpha), initial=low))
+    rows = {}
+    for r, rs in lines.items():
+        cnt = Counter(chain.from_iterable(rs))
+        rows[r] = list(map(cnt.get, range(prec), repeat(0)))
     terms = {r: _x_terms(a, r, prec) for r in rows}
     k = _packed_width(sum(sum(terms[r].values()) * max(row) for r, row in rows.items()))
     total = sum(_mul_packed(_pack(row, k), terms[r].items(), k, prec) for r, row in rows.items())
@@ -180,24 +203,27 @@ def sc7_from_rep_columns(columns) -> list:
     the weighted sum R1/14 - R2/7 + R3/14 at every index.
 
     The sums are taken in integers over the common denominator of the
-    weights, which are read at each call.  Raises ValueError unless there
-    is one column per weight and all columns have the same length, and
-    InexactCount at the first index where a sum is not a non-negative
-    integer, so a failure of the decomposition can never pass as a count.
+    weights, which are read at each call, by C-level maps over whole
+    columns (a column of scale 1 is added as it is, with no multiply
+    pass), and checked over whole columns too; only a failed check scans
+    index by index.  Raises ValueError unless there is one column per
+    weight and all columns have the same length, and InexactCount at the
+    first index where a sum is not a non-negative integer, so a failure
+    of the decomposition can never pass as a count.
     """
     weights = DECOMPOSITION_WEIGHTS
     if len(columns) != len(weights) or len({len(column) for column in columns}) != 1:
         raise ValueError(f"need {len(weights)} columns of equal length, "
                          f"got lengths {[len(column) for column in columns]}")
     den = lcm(*(w.denominator for w in weights))
-    totals = [0] * len(columns[0])
-    for w, column in zip(weights, columns):
-        k = w.numerator * (den // w.denominator)
-        totals = [u + k * r for u, r in zip(totals, column)]
-    for i, total in enumerate(totals):
-        if total % den or total < 0:
-            raise InexactCount(f"theta combination gives {format_coefficient(Fraction(total, den))} "
-                               f"for representation numbers {tuple(c[i] for c in columns)}")
+    scales = [w.numerator * (den // w.denominator) for w in weights]
+    terms = [column if k == 1 else map(mul, repeat(k), column) for k, column in zip(scales, columns)]
+    totals = list(reduce(partial(map, add), terms))
+    if any(map(mod, totals, repeat(den))) or min(totals, default=0) < 0:
+        for i, total in enumerate(totals):
+            if total % den or total < 0:
+                raise InexactCount(f"theta combination gives {format_coefficient(Fraction(total, den))} "
+                                   f"for representation numbers {tuple(c[i] for c in columns)}")
     return [total // den for total in totals]
 
 

@@ -395,6 +395,14 @@ def test_table_streams_rows(monkeypatch):
         return real(*fields)
 
     monkeypatch.setattr(cli, "_json_line", counted)
+    chunks = []
+    real_chunk = cli._chunk
+
+    def recorded_chunk(routes, columns, lo, hi, line):
+        chunks.append(lo)
+        return real_chunk(routes, columns, lo, hi, line)
+
+    monkeypatch.setattr(cli, "_chunk", recorded_chunk)
     pipe = ClosedPipe()
     monkeypatch.setattr(sys, "stdout", pipe)
     args = cli.build_parser().parse_args(
@@ -403,6 +411,7 @@ def test_table_streams_rows(monkeypatch):
         args.func(args)
     assert pipe.writes == 1
     assert len(lines) <= 2 * cli.CHUNK  # of 2 * (3 * CHUNK + 1)
+    assert chunks == [0]  # the rows of one chunk formatted, then the write failed
 
     # a class-number route computes at most one chunk of cells
     cells = []
@@ -535,6 +544,31 @@ def test_table_fault_prefix_matches_the_per_cell_writer(monkeypatch, fmt, corrup
     expected = _ref_table(argv)
     assert expected[0] == 3 and expected[2].startswith("error: ") and str(value) in expected[2]
     assert _run_table(argv) == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("corrupt, n, value", [
+    (_corrupt_eta, 3, Fraction(1, 2)),
+    (_corrupt_qseries, 5, Fraction(7, 3)),
+    (_corrupt_qseries, 5, 999),
+    (_corrupt_eta, 0, 998),
+])
+def test_column_table_matches_the_per_cell_writer(monkeypatch, fmt, corrupt, n, value):
+    # column routes only, one cell changed in the second chunk: a value
+    # that is not an int ends the table as cell by cell does, and an int
+    # that disagrees with the other routes prints in its own place
+    corrupt(monkeypatch, cli.CHUNK + n, value)
+    argv = ["table", "--max", str(cli.CHUNK + 20),
+            "--routes", "qseries,eta,theta,eta", "--format", fmt]
+    expected = _ref_table(argv)
+    assert expected[0] == (0 if type(value) is int else 3)
+    assert _run_table(argv) == expected
+
+
+def test_row_format_keeps_the_line_text():
+    # braces and percent signs in a line format print as they are
+    template = cli._row_format(["a", "b"], lambda n, route, value, extras: f"{{{n}}}%{route}={value}\n")
+    assert template % (1, 2, 3, 4) == "{1}%a=2\n{3}%b=4\n"
 
 
 def test_table_refusal_prefix_matches_the_per_cell_writer(monkeypatch):

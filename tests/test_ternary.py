@@ -1,8 +1,10 @@
 import os
+import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 from pathlib import Path
 
 import pytest
@@ -11,7 +13,7 @@ import sc7core
 from sc7core.arith import InexactCount
 from sc7core.eisenstein import sc7_from_class_number
 from sc7core.partitions import sc_count
-from sc7core.qseries import QSeries
+from sc7core.qseries import QSeries, _mul_packed, _pack, _packed_width, _unpack, _x_terms
 from sc7core.ternary import (
     DECOMPOSITION_FORMS,
     DECOMPOSITION_WEIGHTS,
@@ -81,7 +83,7 @@ def _ref_rep_count(Q, m):
     return count
 
 
-def _ref_theta_coeffs(Q, prec):
+def _ref_lattice_theta_coeffs(Q, prec):
     d1, d2, d3, l12, l13, l23 = _ref_ldl(Q)
     cap = Fraction(prec - 1)
     counts = [0] * prec
@@ -95,6 +97,33 @@ def _ref_theta_coeffs(Q, prec):
             for x in range(xlo, xhi + 1):
                 counts[Q(x, y, z)] += 1
     return counts
+
+
+def _ref_theta_coeffs(Q, prec):
+    """The (y, z) sweep that `theta_coeffs` replaced: one Python step per
+    point of the box, adding each (y, z) to its residue row at C'."""
+    if prec < 1:
+        raise ValueError("precision must be positive")
+    zmax, y_range = Q._box(prec - 1)
+    a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
+    rows: dict = {}
+    for z in range(-zmax, zmax + 1):
+        ylo, yhi = y_range(z)
+        for y in range(ylo, yhi + 1):
+            B = e * z + f * y
+            k, r = divmod(B, 2 * a)
+            if r > a:
+                k, r = k + 1, r - 2 * a
+            low = b * y * y + c * z * z + d * y * z - a * k * k - r * k
+            if low < prec:
+                row = rows.get(r)
+                if row is None:
+                    row = rows[r] = [0] * prec
+                row[low] += 1
+    terms = {r: _x_terms(a, r, prec) for r in rows}
+    k = _packed_width(sum(sum(terms[r].values()) * max(row) for r, row in rows.items()))
+    total = sum(_mul_packed(_pack(row, k), terms[r].items(), k, prec) for r, row in rows.items())
+    return QSeries(_unpack(total, k, prec))
 
 
 # Forms with e, f coprime, so that B = e z + f y meets every residue
@@ -126,14 +155,46 @@ def test_mixed_forms_meet_every_residue():
 def test_theta_coeffs_matches_reference():
     for Q in DECOMPOSITION_FORMS + MIXED_FORMS:
         for prec in (1, 2, 3, 401):
-            assert list(theta_coeffs(Q, prec).coeffs) == _ref_theta_coeffs(Q, prec), (Q, prec)
+            assert list(theta_coeffs(Q, prec).coeffs) == _ref_lattice_theta_coeffs(Q, prec), (Q, prec)
+
+
+# Forms with e, f != 0 and a >= 2: the lines of theta_coeffs step y by
+# h = 2a / gcd(f, 2a) > 1, and several residues r occur.
+SWEEP_FORMS = (
+    TernaryQF(3, 5, 7, 1, 2, 3),
+    TernaryQF(5, 3, 4, -1, 3, -2),
+    TernaryQF(2, 3, 5, 1, 1, 1),
+)
+
+
+def _random_forms(seed, count):
+    rng = random.Random(seed)
+    forms = []
+    while len(forms) < count:
+        Q = TernaryQF(*(rng.randint(1, 12) for _ in range(3)),
+                      *(rng.randint(-8, 8) for _ in range(3)))
+        if Q.is_positive_definite():
+            forms.append(Q)
+    return forms
+
+
+def test_theta_coeffs_matches_the_row_sweep():
+    for Q in SWEEP_FORMS:
+        assert Q.is_positive_definite() and Q.a >= 2 and Q.e and Q.f
+        assert 2 * Q.a // gcd(Q.f, 2 * Q.a) > 1
+    for Q in DECOMPOSITION_FORMS + SWEEP_FORMS + MIXED_FORMS:
+        for prec in (1, 2, 3, 50, 2001):
+            assert theta_coeffs(Q, prec).coeffs == _ref_theta_coeffs(Q, prec).coeffs, (Q, prec)
+    for Q in _random_forms(23, 40):
+        for prec in (1, 7, 300):
+            assert theta_coeffs(Q, prec).coeffs == _ref_theta_coeffs(Q, prec).coeffs, (Q, prec)
 
 
 def test_rep_count_matches_reference():
     # Every m < 200 against the reference sweep's table; the reference
     # search itself costs O(m^1.5) per call, so it is asked only at a few m.
     for Q in DECOMPOSITION_FORMS + MIXED_FORMS:
-        table = _ref_theta_coeffs(Q, 200)
+        table = _ref_lattice_theta_coeffs(Q, 200)
         for m in range(200):
             assert rep_count(Q, m) == table[m], (Q, m)
         for m in (*range(12), 97, 199):
@@ -224,6 +285,19 @@ def test_sc7_from_rep_columns_is_checked_exact():
         sc7_from_rep_columns([[17], [0], [12]])
     with pytest.raises(InexactCount, match="-1"):
         sc7_from_rep_columns([[0], [7], [0]])
+
+
+def test_sc7_from_rep_columns_names_the_first_bad_index():
+    # index 1 gives 29/14 and index 2 gives -1: the error names index 1,
+    # and with the two faults swapped, the negative count at index 1
+    columns = [[14, 17, 0], [0, 0, 7], [0, 12, 0]]
+    with pytest.raises(InexactCount, match=re.escape(
+            "theta combination gives 29/14 for representation numbers (17, 0, 12)")):
+        sc7_from_rep_columns(columns)
+    columns = [[14, 0, 17], [0, 7, 0], [0, 0, 12]]
+    with pytest.raises(InexactCount, match=re.escape(
+            "theta combination gives -1 for representation numbers (0, 7, 0)")):
+        sc7_from_rep_columns(columns)
 
 
 def test_sc7_from_rep_columns_rejects_malformed_columns():
