@@ -6,19 +6,21 @@ verify (cross-validation sweeps), forms and hurwitz (class-number data).
 One registry, ROUTES, describes the routes, and `sc7`, `table`, `verify`
 and the demos all go through it.  `record_for` evaluates one cell by a
 route's count(n), else its table(N = n).  `table` prints a column route's
-cells straight from its column, checked CHUNK n at a time, and the other
-routes' cells through `record_for`; one line formatter per format serves
-both, and builds the row template that writes each n in one format
-call when every route has a column.  Each verify check in CHECKS yields
-its comparisons (n, (label, lhs), (label, rhs)); one sweep loop counts
-them and stops at the first mismatch.
+cells straight from its column and the other routes' cells through
+`record_for`, CHUNK n at a time, by one of two paths.  When every route
+has a column and the chunk's values are all counts, a row template built
+from the line formatter writes each n in one format call; otherwise one
+loop over n, then over the routes, writes the cells one by one with the
+same formatter.  Each verify check in CHECKS yields its comparisons
+(n, (label, lhs), (label, rhs)); one sweep loop counts them and stops
+at the first mismatch.
 
 Exit codes: 0 success; 1 usage error, malformed input, or a query too
 large for the chosen route; 2 input that is well-formed but outside a
 route's hypotheses; 3 a verification sweep hit a counterexample, or a
-computed count came out non-integral or negative (an `error:` line on
-stderr names the value).  All output is exact: integers bare, rationals
-"p/q".
+computed count is not a non-negative int: a fraction, a negative number
+or a bool (an `error:` line on stderr names the value).  All output is
+exact: integers bare, rationals "p/q".
 
 A reader that closes stdout early (`sc7core table --max 3000 | head -2`)
 ends the command quietly with exit code 0: the rest of the output is
@@ -136,7 +138,8 @@ def _route(name: str) -> Route:
 
 
 def _is_count(value) -> bool:
-    return isinstance(value, int) and value >= 0
+    # type(...) is int, not isinstance: a bool is an int, but prints as True
+    return type(value) is int and value >= 0
 
 
 def _not_a_count(route: str, n: int, value) -> InexactCount:
@@ -148,8 +151,8 @@ def record_for(n: int, route: str) -> OutputRecord:
     else its table built to N = n, at n.  Raises HypothesisViolation
     when the route does not apply at n; table mode skips such cells,
     single mode turns them into exit code 2.  Raises InexactCount (exit
-    code 3) unless the count is a non-negative int; `table` checks the
-    cells it reads from a column the same way, a chunk at a time."""
+    code 3) unless the count is a non-negative int (a bool is not one);
+    `table` checks the cells it reads from a column the same way."""
     r = _route(route)
     value = r.count(n) if r.count else r.table(n)[n]
     if not _is_count(value):
@@ -194,8 +197,10 @@ def cmd_table(args) -> int:
     route computes each cell through `record_for` and skips the cells
     outside its hypotheses.  The cells go out CHUNK n at a time, one
     write per chunk, so a reader that stops early stops the work within
-    one chunk.  A cell that fails (a count that is not a non-negative
-    int) ends the table after the cells before it."""
+    one chunk; `_chunk` writes each chunk by the row template or by the
+    per-cell loop.  A cell that fails (a count that is not a non-negative
+    int, a bool included) ends the table after the cells before it, and
+    no cell after it is computed."""
     routes = args.routes.split(",")
     for route in routes:
         _route(route)
@@ -230,42 +235,33 @@ def _chunk(routes: list, columns: dict, lo: int, hi: int, line: Callable) -> tup
 
     When every route has a column and every slice to print holds only
     non-negative ints, each n is one format call with the `_row_format`
-    template.  Otherwise each route in turn fills its cells up to the
-    first failure found so far, so every cell before the last one found
-    has been computed and passed; a column route checks the slice it is
-    about to print at once.
+    template.  Otherwise the cells are written one by one in (n, route)
+    order: a column route's value is read from its column and checked, a
+    class-number route's cell comes from `record_for` and is skipped
+    outside the route's hypotheses.  Nothing after a failed cell is
+    computed.
     """
     if all(route in columns for route in routes):
         slices = [columns[route][lo:hi] for route in routes]
         if all(set(map(type, s)) <= {int} and min(s) >= 0 for s in slices):
             fields = zip(*chain.from_iterable((range(lo, hi), s) for s in slices))
             return "".join(map(_row_format(routes, line).__mod__, fields)), None
-    cut, fault = (hi, 0), None  # the first failed cell: (n, position in routes)
-    cells = []  # per route, its lines from n = lo on; "" for a skipped cell
-    for p, route in enumerate(routes):
-        end = cut[0] + (p < cut[1])  # this route's cells before the cut
-        if route in columns:
-            values = columns[route][lo:end]
-            if not all(map(_is_count, values)):
-                i = next(i for i, v in enumerate(values) if not _is_count(v))
-                cut, fault = (lo + i, p), _not_a_count(route, lo + i, values[i])
-                values = values[:i]
-            lines = [line(n, route, v, _NO_EXTRAS) for n, v in zip(range(lo, end), values)]
-        else:
-            lines = []
-            for n in range(lo, end):
+    lines = []
+    for n in range(lo, hi):
+        for route in routes:
+            if route in columns:
+                value = columns[route][n]
+                if not _is_count(value):
+                    return "".join(lines), _not_a_count(route, n, value)
+                lines.append(line(n, route, value, _NO_EXTRAS))
+            else:
                 try:
                     lines.append(line(*record_for(n, route)))
                 except HypothesisViolation:
-                    lines.append("")  # cell outside this route's hypotheses
+                    pass  # cell outside this route's hypotheses
                 except Exception as exc:
-                    cut, fault = (n, p), exc
-                    break
-        cells.append(lines)
-    n, p = cut
-    # zip stops at the shortest list, which ends at the cut
-    text = "".join(chain.from_iterable(zip(*cells))) + "".join(c[n - lo] for c in cells[:p])
-    return text, fault
+                    return "".join(lines), exc
+    return "".join(lines), None
 
 
 def cmd_forms(args) -> int:

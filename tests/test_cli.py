@@ -455,7 +455,7 @@ def _ref_table(argv):
             for route in routes:
                 if route in columns:
                     value, extras = columns[route][n], {}
-                    if not isinstance(value, int) or value < 0:
+                    if type(value) is not int or value < 0:
                         raise InexactCount(f"{route} route at n={n} gives {value}")
                 else:
                     try:
@@ -533,17 +533,27 @@ def _corrupt_theorem(monkeypatch, n, value):
     (_corrupt_eta, 0, Fraction(1, 2)),
     (_corrupt_qseries, 5, -3),
     (_corrupt_qseries, 5, Fraction(7, 3)),
+    (_corrupt_qseries, 5, True),
     (_corrupt_theorem, 9, -1),
 ])
 def test_table_fault_prefix_matches_the_per_cell_writer(monkeypatch, fmt, corrupt, n, value):
     # a bad count in the second chunk: the same cells before it, the
-    # same error line and exit 3 as cell by cell
+    # same error line and exit 3 as cell by cell, and no cell after it
+    # computed
     corrupt(monkeypatch, cli.CHUNK + n, value)
     argv = ["table", "--max", str(cli.CHUNK + 20),
             "--routes", "theorem,qseries,eta,cor2,eta,theta", "--format", fmt]
     expected = _ref_table(argv)
     assert expected[0] == 3 and expected[2].startswith("error: ") and str(value) in expected[2]
+    real_record, computed = cli.record_for, []
+
+    def recorded(n, route):
+        computed.append(n)
+        return real_record(n, route)
+
+    monkeypatch.setattr(cli, "record_for", recorded)
     assert _run_table(argv) == expected
+    assert max(computed) == cli.CHUNK + n
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -551,6 +561,7 @@ def test_table_fault_prefix_matches_the_per_cell_writer(monkeypatch, fmt, corrup
     (_corrupt_eta, 3, Fraction(1, 2)),
     (_corrupt_qseries, 5, Fraction(7, 3)),
     (_corrupt_qseries, 5, 999),
+    (_corrupt_qseries, 5, True),
     (_corrupt_eta, 0, 998),
 ])
 def test_column_table_matches_the_per_cell_writer(monkeypatch, fmt, corrupt, n, value):
@@ -759,20 +770,22 @@ def test_theorem_and_cor2_rows_report_the_same_class_number():
                 == (r["cor2"]["D_n"], r["cor2"]["H"])), r
 
 
-def test_every_emitted_count_is_checked(monkeypatch, capsys):
-    # a negative coefficient from a series route never prints as a count
+@pytest.mark.parametrize("value", [-1, True])
+def test_every_emitted_count_is_checked(monkeypatch, capsys, value):
+    # a negative or bool coefficient from a series route never prints as
+    # a count
     real = cli.eta_quotient_series
 
     def corrupted(spec, prec):
         coeffs = list(real(spec, prec).coeffs)
-        coeffs[11] = -1  # sc7(9) sits at q^11
+        coeffs[11] = value  # sc7(9) sits at q^11
         return type(real(spec, 1))(coeffs)
 
     monkeypatch.setattr(cli, "eta_quotient_series", corrupted)
     assert cli.main(["sc7", "9", "--route", "eta"]) == 3
     out, err = capsys.readouterr()
-    assert out == "" and err == "error: eta route at n=9 gives -1\n"
+    assert out == "" and err == f"error: eta route at n=9 gives {value}\n"
     assert cli.main(["table", "--max", "20", "--routes", "eta"]) == 3
     out, err = capsys.readouterr()
     assert [line.split(",")[0] for line in out.splitlines()] == ["n", *map(str, range(9))]
-    assert err == "error: eta route at n=9 gives -1\n"
+    assert err == f"error: eta route at n=9 gives {value}\n"
