@@ -4,44 +4,47 @@ A QSeries knows its coefficients for exponents 0..precision-1; exponents
 at or beyond the precision are unknown, never implicitly zero.
 Coefficients are exact integers, stored as given.
 
-The two series builders here never leave the integers:
+The two series builders here never leave the integers, and both work on
+packed integers, a fixed-width binary slot per coefficient (see
+`_packed_width`), with no Python step per coefficient:
 
 - `sc_series` multiplies (t-1)/2 theta series sum_x q^(t x^2 - 2 j x)
-  (Jacobi's triple product) by Kronecker substitution: each factor is
-  written as one decimal integer with a fixed number of digits per
-  coefficient, the integers are multiplied exactly by the C `decimal`
-  module (libmpdec, a number-theoretic transform for large operands),
-  and the coefficients are read back from the digits.  The slot width
-  is proved wide enough in its docstring.  Cost: about O(N log N) for
-  fixed t, plus O(N) Python steps to write and read the digits.
+  (Jacobi's triple product): the first two as one dense row that counts
+  the pair sums of their exponents, each later one by one C-level
+  shifted add of O(N) machine words per term on the packed row.  Its
+  slot width is proved in its docstring.  Cost for fixed t: O(N) for
+  the row, O(N^1.5) word operations for the shifted adds.
 - `eta_quotient_series` expands each eta factor by Euler's pentagonal
   number theorem, which leaves about 2*sqrt(2N/(3s)) terms below N for
-  scale s, and computes the whole quotient on packed integers, a
-  fixed-width binary slot per coefficient: the numerator and the
-  denominator each by one C-level shifted add of O(N) machine words per
-  term, the division as one multiply by the denominator's inverse
-  modulo a power of 2, and an exact check of the result.  There is no
-  Python step per coefficient; the shifted adds cost O(N^1.5) word
+  scale s, and computes the whole quotient packed: the numerator and
+  the denominator each by one shifted add per term, the division as one
+  multiply by the denominator's inverse modulo a power of 2, and an
+  exact check of the result.  The shifted adds cost O(N^1.5) word
   operations and the products about O(N^1.58).  It stays the
   independent check of `sc_series`.
 
-On one core of a 2-vCPU VM (Python 3.11.7, libmpdec 2.5.1, best of 5
-runs, 2 at 10^6), `sc_series(7, N)` takes 0.011 s at N = 10^4, 0.046 s
-at 3*10^4, 0.17 s at 10^5 and 0.67 s at 3*10^5: a fitted exponent of
-1.2 (3.0 s at 10^6).  One slice-add per term took 0.048, 0.27 and 1.6 s
-at the first three sizes.  The SC7 eta quotient costs about 0.013 s at
-4000, 0.053 s at 10^4, 0.38 s at 3*10^4 and 2.1 s at 10^5 (best of 5,
-2 at the last two sizes); with the pentagonal recurrence for its two
-divisions it took 0.040, 0.13, 0.88 and 6.0 s.
+On one core of a 2-vCPU VM (Python 3.11.7, best of 5 runs, 2 at 10^6
+and 1 at 3*10^6), `sc_series(7, N)` takes 0.0010 s at N = 4001,
+0.0026 s at 10^4, 0.010 s at 3*10^4, 0.075 s at 10^5, 0.63 s at
+3*10^5, 2.6 s at 10^6 and 18 s at 3*10^6, a fitted exponent of about
+1.5 from 10^5 on (the slots widen from 2 to 4 bytes at N = 56700).  The
+decimal Kronecker product through libmpdec 2.5.1 that it replaced, kept
+as a test oracle, took 0.0079, 0.022, 0.087, 0.32, 1.17, 4.8 and 11.5 s in
+the same runs: its number-theoretic transform wins only above about
+N = 10^6.  The SC7 eta quotient costs about 0.013 s at 4000, 0.053 s
+at 10^4, 0.38 s at 3*10^4 and 2.1 s at 10^5 (best of 5, 2 at the last
+two sizes); with the pentagonal recurrence for its two divisions it
+took 0.040, 0.13, 0.88 and 6.0 s.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass
-from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from itertools import product, repeat
 from math import comb, isqrt, prod
 
 
@@ -95,10 +98,6 @@ class QSeries:
         head = ", ".join(format_coefficient(v) for v in self._coeffs[:8])
         tail = ", ..." if len(self._coeffs) > 8 else ""
         return f"QSeries([{head}{tail}], precision={len(self._coeffs)})"
-
-
-# Exact integer products of any size: no rounding, no exponent limit.
-_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
 # Sparse series and in-place kernels on dense coefficient lists.
@@ -285,57 +284,58 @@ def sc_series(t: int, prec: int) -> QSeries:
     (Garvan-Kim-Stanton, "Cranks and t-cores", 1990).  For t = 1 the
     product is empty and the series is 1.
 
-    The product is taken by Kronecker substitution.  Each factor, cut
-    below q^prec, is written as one decimal integer with w digits per
-    coefficient slot (coefficient of q^e in the digits w*e .. w*e+w-1
-    from the right); the factors are multiplied exactly by libmpdec,
-    which uses a number-theoretic transform for large operands; the low
-    prec*w digits are kept after each product; and the slots are read
-    back once at the end.
+    Each factor has multiplicity 1 at each of its exponents: t x^2 - 2 j x
+    = t y^2 - 2 j y with x != y needs t (x + y) = 2 j, which no integer
+    x + y solves as 0 < 2 j < t.  So the first two factors (those present)
+    multiply as one dense row that counts the pair sums of their
+    exponents below q^prec, with no Python step per pair.  The row is
+    packed into slots of k bytes (`_pack`), each later factor is one
+    shifted add per term on the packed integer (`_mul_packed`), and the
+    slots are read back once (`_unpack`).
 
-    The slot width w is the digit count of (2M + 3)^s plus 1, with
-    M = isqrt(prec // t) = floor(sqrt(prec/t)).  Proof that no slot
-    overflows: a coefficient below q^prec of a product of k <= s factors
-    counts the x in Z^k with sum_i (t x_i^2 - 2 j_i x_i) = n < prec.  As
-    1 <= j_i <= s < t/2, each term is at least |x_i|(t|x_i| - t + 1) >= 0,
-    and the terms sum to n, so each is below prec; but |x_i| >= M + 2
-    would make its term exceed t (|x_i| - 1)^2 >= t (M + 1)^2 > prec.
-    So every |x_i| <= M + 1, and the coefficient is at most
-    (2M + 3)^k <= (2M + 3)^s < 10^(w-1).  No coefficient is negative, so
-    no slot borrows from the next, and the low slots of each product are
-    exactly its coefficients below q^prec.
+    The width k is `_packed_width((2M + 3)^(s-1))`, of 1 for s = 0, with
+    M = isqrt(prec // t).  Proof that every coefficient of the product of
+    any r <= s factors, below q^prec, is at most (2M + 3)^(r-1): it
+    counts the x in Z^r with sum_i (t x_i^2 - 2 j_i x_i) = n < prec.  As
+    1 <= j_i <= s < t/2, each term is at least |x_i| (t |x_i| - t + 1)
+    >= 0, and the terms sum to n, so each is below prec; but |x_i| >= M + 2
+    would make its term exceed t (|x_i| - 1)^2 >= t (M + 1)^2 > prec.  So
+    every |x_i| <= M + 1, which leaves 2M + 3 values for each of the first
+    r - 1 coordinates.  With those fixed, t x^2 - 2 j x = c has at most one
+    integer root x, since its two roots sum to 2j/t, strictly between 0
+    and 1.  No coefficient is negative, so `_packed_width`'s proof reads
+    every one back.  At t = 7 the slots are 2 bytes up to prec 56699 and
+    4 bytes beyond, up to prec 3.7*10^9.
 
-    Each of the s - 1 products multiplies two integers of prec*w digits,
-    about O(prec log prec) for fixed t, where one slice-add per term
-    costs O(sqrt(t) prec^1.5).  Measured at t = 7 (module docstring):
-    0.011 s at prec = 10^4, 0.046 s at 3*10^4, 0.17 s at 10^5 and 0.67 s
-    at 3*10^5, a fitted exponent of 1.2.  The C module `_decimal` is
-    needed: the pure-Python `_pydecimal` multiplies in quadratic time.
+    Cost: s - 2 factors of about 2 sqrt(prec/t) terms each, one shifted
+    add of O(prec) machine words per term, O(sqrt(t) prec^1.5) word
+    operations in all, and no Python step per coefficient.  Measured at
+    t = 7 in the module docstring.
 
     This route rests on Jacobi's triple product; `eta_quotient_series`,
     which it is checked against, rests on Euler's pentagonal theorem.
-    The theta route builds its x-series with the same `_x_terms`, but a
-    fault there cannot hide: route-equivalence compares both routes with
-    eta and with enumeration.
+    The eta and theta routes multiply on the same packed kernel, and the
+    theta route builds its x-series with the same `_x_terms`, so one
+    kernel fault could move all three series routes alike, where their
+    comparisons with each other would not see it.  These comparisons
+    still would: in `verify`, route-equivalence checks `sc_series`
+    against enumeration (`sc_count`), the theorem route and the cor2
+    route, none of which touches the kernel; in the tests, `sc_series`
+    is checked against a binomial-product oracle and against the
+    libmpdec Kronecker product it replaced.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be a positive odd integer, got {t}")
     if prec < 1:
         raise ValueError("precision must be positive")
     s = (t - 1) // 2
-    w = len(str((2 * isqrt(prec // t) + 3) ** s)) + 1
-    size = prec * w
-    product = Decimal(1)
-    for j in range(1, s + 1):
-        digits = bytearray(b"0") * size
-        for e, mult in _x_terms(t, -2 * j, prec).items():
-            slot = str(mult).encode()
-            digits[size - e * w - len(slot):size - e * w] = slot
-        product = _EXACT.multiply(product, Decimal(digits.decode()))
-        if product.adjusted() >= size:  # keep the low size digits
-            product = Decimal(str(product)[-size:])
-    text = str(product).rjust(size, "0")
-    return QSeries([int(text[i - w:i]) for i in range(size, 0, -w)])
+    factors = [_x_terms(t, -2 * j, prec) for j in range(1, s + 1)]
+    pairs = Counter(filter(prec.__gt__, map(sum, product(*factors[:2]))))
+    k = _packed_width((2 * isqrt(prec // t) + 3) ** max(s - 1, 0))
+    x = _pack(list(map(pairs.get, range(prec), repeat(0))), k)
+    for terms in factors[2:]:
+        x = _mul_packed(x, terms.items(), k, prec)
+    return QSeries(_unpack(x, k, prec))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import random
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from itertools import accumulate
 from math import isqrt
@@ -412,46 +413,126 @@ def _ref_sparse_sc_series(t, prec):
 THETA_EDGES = (57, 58, 69, 70)
 
 
+def _coefficient_bound(t, prec):
+    # (2M + 3)^(s - 1), the bound on every coefficient of sc_series(t, prec)
+    # that its docstring proves, with M = isqrt(prec // t) and t = 2s + 1
+    return (2 * isqrt(prec // t) + 3) ** max((t - 3) // 2, 0)
+
+
 def _slot_width(t, prec):
-    # the digits per coefficient slot that sc_series's docstring derives
-    return len(str((2 * isqrt(prec // t) + 3) ** ((t - 1) // 2))) + 1
+    # the bytes per packed slot that sc_series derives from that bound
+    return _packed_width(_coefficient_bound(t, prec))
 
 
 def _width_ticks(t, lo, hi):
     # each prec in (lo, hi] whose slot width differs from prec - 1's, with
-    # prec - 1: the last precision of the old width and the first of the new
-    ticks = [p for p in range(max(lo, 1) + 1, hi + 1) if _slot_width(t, p) != _slot_width(t, p - 1)]
+    # prec - 1: the last precision of the old width and the first of the
+    # new.  The width depends on prec only through M = isqrt(prec // t),
+    # which steps at prec = t M^2, so only those precisions are tried.
+    ticks = [p for p in (t * m * m for m in range(1, isqrt(hi // t) + 1))
+             if max(lo, 1) < p and _slot_width(t, p) != _slot_width(t, p - 1)]
     return tuple(q for p in ticks for q in (p - 1, p))
 
 
+def _check_sc_series(t, prec, reference):
+    # sc_series(t, prec) against the reference and under its bound, packed
+    # at the width that the bound gives: its coefficients are far below
+    # the bound, so a narrower slot would read them back all the same, and
+    # only the recorded width shows it
+    widths = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(qseries, "_pack", lambda values, k: widths.append(k) or _pack(values, k))
+        c = sc_series(t, prec).coeffs
+    assert widths == [_slot_width(t, prec)], (t, prec)
+    assert c == reference(t, prec), (t, prec)
+    assert max(c) <= _coefficient_bound(t, prec), (t, prec)
+    return c
+
+
+# The width ticks below 10^5: the bound (2M + 3)^(s - 1) passes 2^15 at
+# t = 9 when 2M + 3 = 33 (M = 15) and at t = 7 when 2M + 3 = 183, and at
+# t = 21 it passes 2^15, 2^31 and 2^63 at M = 1, 4 and 63.  For t = 3 the
+# bound is 1, and for t = 5 it is 2M + 3, below 2^15 until prec 5*16383^2.
+WIDTH_TICKS = {
+    3: (),
+    5: (),
+    7: (56699, 56700),
+    9: (2024, 2025),
+    11: (395, 396),
+    13: (116, 117, 16847, 16848),
+    15: (59, 60, 4334, 4335),
+    21: (20, 21, 335, 336, 83348, 83349),
+}
+
+
 def test_width_ticks_are_where_the_bound_gains_a_digit():
-    # t = 7: (2M + 3)^3 reaches 10^3 at M = 4, 10^4 at M = 10, 10^5 at M = 22
-    assert _width_ticks(7, 0, 4000) == (6, 7, 111, 112, 699, 700, 3387, 3388)
+    # the digits are slots of 2, 4, 8 and then any number of bytes
+    for t, ticks in WIDTH_TICKS.items():
+        assert _width_ticks(t, 0, 10**5) == ticks, t
+    assert [_slot_width(21, p) for p in WIDTH_TICKS[21][-2:]] == [8, 9]
 
 
-# The binomial oracle is quadratic: it checks the width ticks of
-# t = 3, 5, 7 and 9 below 3000, and the sparse one those up to 10^4.
+# The binomial oracle is quadratic: it checks the width ticks below 3000.
 @pytest.mark.parametrize("t", [1, 3, 5, 7, 9, 11, 13, 15, 21])
 def test_sc_series_matches_reference(t):
-    ticks = _width_ticks(t, 0, 3000) if t in (3, 5, 7, 9) else ()
-    for prec in _precisions(0) + THETA_EDGES + ticks:
-        assert sc_series(t, prec).coeffs == _ref_sc_series(t, prec), prec
+    for prec in _precisions(0) + THETA_EDGES + _width_ticks(t, 0, 3000):
+        _check_sc_series(t, prec, _ref_sc_series)
 
 
 def test_sc_series_matches_sparse_reference():
-    assert sc_series(7, 20000).coeffs == _ref_sparse_sc_series(7, 20000)
-    for t in (3, 5, 7, 9):
-        for prec in _width_ticks(t, 3000, 10**4):
-            assert sc_series(t, prec).coeffs == _ref_sparse_sc_series(t, prec), (t, prec)
+    _check_sc_series(7, 20000, _ref_sparse_sc_series)
+    for t in (13, 15):
+        for prec in _width_ticks(t, 3000, 2 * 10**4):
+            _check_sc_series(t, prec, _ref_sparse_sc_series)
+
+
+# Exact integer products of any size: no rounding, no exponent limit.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _ref_decimal_sc_series(t, prec):
+    # sc_series before it moved onto the packed binary kernel: Kronecker
+    # substitution in decimal.  Each factor is one decimal integer with w
+    # digits per coefficient slot, w the digit count of (2M + 3)^s plus 1;
+    # libmpdec multiplies the factors exactly (by a number-theoretic
+    # transform for large operands), the low prec*w digits are kept after
+    # each product, and the slots are read back once at the end.
+    s = (t - 1) // 2
+    w = len(str((2 * isqrt(prec // t) + 3) ** s)) + 1
+    size = prec * w
+    product = Decimal(1)
+    for j in range(1, s + 1):
+        digits = bytearray(b"0") * size
+        for e, mult in _x_terms(t, -2 * j, prec).items():
+            slot = str(mult).encode()
+            digits[size - e * w - len(slot):size - e * w] = slot
+        product = _EXACT.multiply(product, Decimal(digits.decode()))
+        if product.adjusted() >= size:  # keep the low size digits
+            product = Decimal(str(product)[-size:])
+    text = str(product).rjust(size, "0")
+    return tuple(int(text[i - w:i]) for i in range(size, 0, -w))
+
+
+def test_sc_series_matches_decimal_reference():
+    # t = 7 around its one width tick below 10^5 and at the sizes the CLI
+    # serves; t = 21 where the slots grow past 8 bytes and leave the array
+    # path for one to_bytes call per slot.  The oracle takes about 3 s at
+    # t = 21, so the last 8-byte precision is checked against the checked
+    # 9-byte series, which holds it as a prefix.
+    for prec in (30001, 56699, 56700, 100001):
+        _check_sc_series(7, prec, _ref_decimal_sc_series)
+    last8, first9 = WIDTH_TICKS[21][-2:]
+    wide = _check_sc_series(21, first9, _ref_decimal_sc_series)
+    _check_sc_series(21, last8, lambda t, prec: wide[:prec])
 
 
 def test_decimal_is_the_c_module():
-    # sc_series multiplies through decimal, and needs the C module
-    # (libmpdec): the pure-Python _pydecimal multiplies in quadratic time,
-    # so without it sc_series would slow down with no error.
+    # the decimal oracle needs the C module (libmpdec): the pure-Python
+    # _pydecimal multiplies in quadratic time, so without it the oracle
+    # tests would slow down with no error.
     import _decimal
 
-    assert qseries.Context is _decimal.Context
+    assert Context is _decimal.Context
 
 
 def test_array_codes_cover_the_packed_widths():
