@@ -10,42 +10,48 @@ packed integers, a fixed-width binary slot per coefficient (see
 
 - `sc_series` multiplies (t-1)/2 theta series sum_x q^(t x^2 - 2 j x)
   (Jacobi's triple product): the first two as one dense row that counts
-  the pair sums of their exponents, each later one by one C-level
-  shifted add of O(N) machine words per term on the packed row.  Its
-  slot width is proved in its docstring.  Cost for fixed t: O(N) for
-  the row, O(N^1.5) word operations for the shifted adds.
-- `eta_quotient_series` expands each eta factor by Euler's pentagonal
-  number theorem, which leaves about 2*sqrt(2N/(3s)) terms below N for
-  scale s, and computes the whole quotient packed: the numerator and
-  the denominator each by one shifted add per term, the division as one
-  multiply by the denominator's inverse modulo a power of 2, and an
-  exact check of the result.  The shifted adds cost O(N^1.5) word
-  operations and the products about O(N^1.58).  It stays the
-  independent check of `sc_series`.
+  the pair sums of their exponents (`_pair_row`), each later one by one
+  C-level shifted add of O(N) machine words per term on the packed row.
+  Its slots are sized from the row: max(row) times the term counts of
+  the later factors, proved in its docstring.  Cost for fixed t: O(N)
+  for the row, O(N^1.5) word operations for the shifted adds.
+- `eta_quotient_series` pairs each eta(2s tau)^2 / eta(s tau) of the
+  quotient into one row of Gauss's psi(q^s) = sum_n q^(s n(n+1)/2),
+  about sqrt(2N/s) terms below N, and expands every other eta factor by
+  Euler's pentagonal number theorem, about 2*sqrt(2N/(3s)) terms for
+  scale s.  It computes the whole quotient packed: the two longest
+  numerator factors as one counted dense row, the rest of the numerator
+  and the denominator each by one shifted add per term, the division as
+  one multiply by the denominator's inverse modulo a power of 2, and an
+  exact check of the result, whose width comes from the row's maximum.
+  The shifted adds cost O(N^1.5) word operations and the products about
+  O(N^1.58).  It stays the independent check of `sc_series`, though the
+  two share Jacobi's triple product (psi is a case of it).
 
-On one core of a 2-vCPU VM (Python 3.11.7, best of 5 runs, 2 at 10^6
-and 1 at 3*10^6), `sc_series(7, N)` takes 0.0010 s at N = 4001,
-0.0026 s at 10^4, 0.010 s at 3*10^4, 0.075 s at 10^5, 0.63 s at
-3*10^5, 2.6 s at 10^6 and 18 s at 3*10^6, a fitted exponent of about
-1.5 from 10^5 on (the slots widen from 2 to 4 bytes at N = 56700).  The
-decimal Kronecker product through libmpdec 2.5.1 that it replaced, kept
-as a test oracle, took 0.0079, 0.022, 0.087, 0.32, 1.17, 4.8 and 11.5 s in
-the same runs: its number-theoretic transform wins only above about
-N = 10^6.  The SC7 eta quotient costs about 0.013 s at 4000, 0.053 s
-at 10^4, 0.38 s at 3*10^4 and 2.1 s at 10^5 (best of 5, 2 at the last
-two sizes); with the pentagonal recurrence for its two divisions it
-took 0.040, 0.13, 0.88 and 6.0 s.
+On one core of a 2-vCPU VM (Python 3.11.7, best of 9 runs, 5 at
+3*10^5, 2 at 10^6 and 1 at 3*10^6, the sizes below 10^6 interleaved with
+the code before the slots were sized from the row), `sc_series(7, N)`
+takes 0.0017 s at N = 4001, 0.0043 s at 10^4, 0.017 s at 3*10^4,
+0.076 s at 10^5, 0.37 s at 3*10^5, 1.4-1.9 s at 10^6 and 10.5 s at
+3*10^6, a fitted exponent of about 1.5 from 10^5 on.  With slots sized
+from the lattice-box bound (2M + 3)^(s-1), 4 bytes from N = 56700, it
+took 0.13, 0.66, 4.0 and 19.7 s at the last four sizes.  The SC7 eta
+quotient costs about 0.0053 s at 4000, 0.023 s at 10^4, 0.11 s at
+3*10^4 and 1.3 s at 10^5 (best of 9, 3 at 10^5); with all six factors
+pentagonal it took 0.0079, 0.035, 0.26 and 2.6 s in the same runs.
 """
 
 from __future__ import annotations
 
 import sys
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product, repeat
-from math import comb, isqrt, prod
+from itertools import accumulate, count, product, repeat, takewhile
+from math import comb, prod
+from operator import sub
 
 
 def format_coefficient(v) -> str:
@@ -132,6 +138,34 @@ def _euler_terms(scale: int, limit: int) -> list:
                 terms.append((scale * e, sign))
         k += 1
     return terms
+
+
+def _psi_terms(scale: int, limit: int) -> list:
+    """Terms (exponent, 1) of psi(q^scale) with exponent < limit.
+
+    Gauss: psi(q) = (q^2; q^2)_inf^2 / (q; q)_inf = sum_{n>=0} q^(n(n+1)/2),
+    the case q -> q^(1/2), z = q^(1/2) of Jacobi's triple product, whose
+    two sides then read 2 psi(q).  The exponents scale*n(n+1)/2 are the
+    running sums of 0, scale, 2 scale, ...
+    """
+    return [(e, 1) for e in takewhile(limit.__gt__, accumulate(count(0, scale)))]
+
+
+def _pair_row(factors, n: int) -> list:
+    """The coefficients below q^n of the product of at most two sparse
+    series, each given by terms (e, m) with distinct e and m = 1 or -1
+    (a missing factor is the series 1).  For each term of the shorter
+    factor, its sums with the terms of the other below n are counted by
+    `Counter`, apart by the sign of the pair: one Python step per term,
+    none per pair or per coefficient."""
+    first, second = sorted(([[(0, 1)]] * 2 + list(factors))[-2:], key=len)
+    by_sign = [(sign, sorted(e for e, m in second if m == sign)) for sign in (1, -1)]
+    plus, minus = Counter(), Counter()
+    for e, m in first:
+        for sign, es in by_sign:
+            (plus if m == sign else minus).update(map(e.__add__, es[:bisect_left(es, n - e)]))
+    row = list(map(plus.get, range(n), repeat(0)))
+    return list(map(sub, row, map(minus.get, range(n), repeat(0)))) if minus else row
 
 
 # Packed series: the coefficients c_0..c_(n-1) of a series cut below q^n
@@ -288,53 +322,50 @@ def sc_series(t: int, prec: int) -> QSeries:
     = t y^2 - 2 j y with x != y needs t (x + y) = 2 j, which no integer
     x + y solves as 0 < 2 j < t.  So the first two factors (those present)
     multiply as one dense row that counts the pair sums of their
-    exponents below q^prec, with no Python step per pair.  The row is
-    packed into slots of k bytes (`_pack`), each later factor is one
-    shifted add per term on the packed integer (`_mul_packed`), and the
-    slots are read back once (`_unpack`).
+    exponents below q^prec (`_pair_row`).  The row is packed into slots of
+    k bytes (`_pack`), each later factor F_i is one shifted add per term
+    on the packed integer (`_mul_packed`), and the slots are read back
+    once (`_unpack`).
 
-    The width k is `_packed_width((2M + 3)^(s-1))`, of 1 for s = 0, with
-    M = isqrt(prec // t).  Proof that every coefficient of the product of
-    any r <= s factors, below q^prec, is at most (2M + 3)^(r-1): it
-    counts the x in Z^r with sum_i (t x_i^2 - 2 j_i x_i) = n < prec.  As
-    1 <= j_i <= s < t/2, each term is at least |x_i| (t |x_i| - t + 1)
-    >= 0, and the terms sum to n, so each is below prec; but |x_i| >= M + 2
-    would make its term exceed t (|x_i| - 1)^2 >= t (M + 1)^2 > prec.  So
-    every |x_i| <= M + 1, which leaves 2M + 3 values for each of the first
-    r - 1 coordinates.  With those fixed, t x^2 - 2 j x = c has at most one
-    integer root x, since its two roots sum to 2j/t, strictly between 0
-    and 1.  No coefficient is negative, so `_packed_width`'s proof reads
-    every one back.  At t = 7 the slots are 2 bytes up to prec 56699 and
-    4 bytes beyond, up to prec 3.7*10^9.
+    The width k is `_packed_width(max(row) * prod_i len(F_i))`.  Proof
+    that every coefficient of the product is at most that bound: as F_i
+    has multiplicity 1 at each exponent, each coefficient of X * F_i is a
+    sum of at most len(F_i) coefficients of X, so multiplying by F_i
+    raises the largest coefficient at most len(F_i)-fold.  No coefficient
+    is negative, so `_packed_width`'s proof reads every one back.  The
+    row is known before it is packed, so the bound costs one C-level
+    `max`.  At t = 7 it is 2868 at prec 10^5 + 1 and 31440 at 3*10^6, so
+    the slots are 2 bytes up to a little above 3*10^6.
 
     Cost: s - 2 factors of about 2 sqrt(prec/t) terms each, one shifted
     add of O(prec) machine words per term, O(sqrt(t) prec^1.5) word
     operations in all, and no Python step per coefficient.  Measured at
     t = 7 in the module docstring.
 
-    This route rests on Jacobi's triple product; `eta_quotient_series`,
-    which it is checked against, rests on Euler's pentagonal theorem.
-    The eta and theta routes multiply on the same packed kernel, and the
-    theta route builds its x-series with the same `_x_terms`, so one
-    kernel fault could move all three series routes alike, where their
-    comparisons with each other would not see it.  These comparisons
-    still would: in `verify`, route-equivalence checks `sc_series`
-    against enumeration (`sc_count`), the theorem route and the cor2
-    route, none of which touches the kernel; in the tests, `sc_series`
-    is checked against a binomial-product oracle and against the
-    libmpdec Kronecker product it replaced.
+    This route rests on Jacobi's triple product.  `eta_quotient_series`,
+    which it is checked against, rests on Euler's pentagonal theorem and
+    on Gauss's identity for psi(q), itself a case of Jacobi's triple
+    product, so the two routes share that identity.  The eta and theta
+    routes multiply on the same packed kernel, and the theta route builds
+    its x-series with the same `_x_terms`, so one kernel fault could move
+    all three series routes alike, where their comparisons with each
+    other would not see it.  These comparisons still would: in `verify`,
+    route-equivalence checks `sc_series` against enumeration
+    (`sc_count`), the theorem route and the cor2 route, none of which
+    touches the kernel or either identity; in the tests, `sc_series` is
+    checked against a binomial-product oracle and against the libmpdec
+    Kronecker product it replaced.
     """
     if t < 1 or t % 2 == 0:
         raise ValueError(f"t must be a positive odd integer, got {t}")
     if prec < 1:
         raise ValueError("precision must be positive")
-    s = (t - 1) // 2
-    factors = [_x_terms(t, -2 * j, prec) for j in range(1, s + 1)]
-    pairs = Counter(filter(prec.__gt__, map(sum, product(*factors[:2]))))
-    k = _packed_width((2 * isqrt(prec // t) + 3) ** max(s - 1, 0))
-    x = _pack(list(map(pairs.get, range(prec), repeat(0))), k)
-    for terms in factors[2:]:
-        x = _mul_packed(x, terms.items(), k, prec)
+    factors = [_x_terms(t, -2 * j, prec).items() for j in range(1, (t + 1) // 2)]
+    row, later = _pair_row(factors[:2], prec), factors[2:]
+    k = _packed_width(max(row) * prod(map(len, later)))
+    x = _pack(row, k)
+    for terms in later:
+        x = _mul_packed(x, terms, k, prec)
     return QSeries(_unpack(x, k, prec))
 
 
@@ -375,44 +406,63 @@ class EtaQuotientSpec:
 def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     """q-expansion of the eta quotient, including the q^leading_power shift.
 
-    Each factor (q^scale; q^scale)_inf is taken in its sparse pentagonal
-    form (about 2*sqrt(2N/(3*scale)) terms below the body length N =
-    prec - shift), with constant term 1.  One unit of a positive exponent
-    goes into the numerator num, one unit of a negative exponent into the
-    denominator den, and the body is c = num / den in Z[q]/(q^N).
+    The exponents of each scale are summed first.  Then each
+    eta(2s tau)^2 / eta(s tau) is paired into one row of Gauss's
+    psi(q^s) = (q^(2s); q^(2s))_inf^2 / (q^s; q^s)_inf, a 0/1 series with
+    about sqrt(2N/s) terms below the body length N = prec - shift
+    (`_psi_terms`): as many pairs at scale s as the exponent -e_s < 0 and
+    half the exponent e_2s > 0 both allow.  Every other factor
+    (q^scale; q^scale)_inf is taken in its sparse pentagonal form (about
+    2*sqrt(2N/(3*scale)) terms, `_euler_terms`), with constant term 1:
+    one unit per unit of a positive exponent goes into the numerator,
+    one per unit of a negative exponent into the denominator den.  The
+    body is c = num / den in Z[q]/(q^N).  For SC7 that is
+    psi(q) (q^7;q^7) (q^14;q^14) (q^28;q^28) / (q^4;q^4).
 
     The quotient is computed in Z/2^(8kN), the image of Z[q]/(q^N) under
     q -> 2^(8k) (`_packed_width` proves the map a ring homomorphism).
-    num and den are packed by one shifted add per term and unit
-    (`_mul_packed`); den is 1 mod 2^(8k), so odd, and so invertible mod
-    2^(8kN) (`_inverse_2adic`); one multiply gives the packed quotient,
-    whose slots are read back once.  The intermediates need not fit in
-    a slot: the arithmetic is exact modulo 2^(8kN), and only the final
-    coefficients must have |c_e| < 2^(8k-1) to read back.
+    The two longest numerator factors form one counted dense row
+    (`_pair_row`); num is the packed row times the other numerator
+    factors, and den the packed 1 times the denominator units, each by
+    one shifted add per term (`_mul_packed`).  den is 1 mod 2^(8k), so
+    odd, and so invertible mod 2^(8kN) (`_inverse_2adic`); one multiply
+    gives the packed quotient, whose slots are read back once.  The
+    intermediates need not fit in a slot: the arithmetic is exact modulo
+    2^(8kN), and only the final coefficients must have |c_e| < 2^(8k-1)
+    to read back.
 
     No cheap tight bound on the c_e is known in advance, so each width
-    is checked exactly.  Starting at k = 2, the read-back c is checked by
-    c * den == num in Z[q]/(q^N): c is packed again and multiplied by
-    the denominator units with the same shifted adds, at a width (k or
-    more) where both sides read back.  |num_e| <= prod_u len(u) over the
-    numerator units u (each unit has len(u) terms of size 1), and
-    |(c * den)_e| <= max|c| * prod_u len(u) over the denominator units.
-    Two integer vectors in range pack to the same residue only if they
-    are equal, so the check is exact, and as den is a unit it passes iff
-    c is the quotient.  It uses neither den's packed inverse nor the
+    is checked exactly.  Starting at the least width that holds the row
+    (2 bytes for SC7), the read-back c is checked by c * den == num in
+    Z[q]/(q^N): c is packed again and multiplied by the denominator units
+    with the same shifted adds, at a width (k or more) where both sides
+    read back.  Every factor has terms of size 1 at distinct exponents,
+    so multiplying by a factor f raises the largest coefficient at most
+    len(f)-fold: |num_e| <= max|row| * prod len(f) over the numerator
+    factors outside the row, and |(c * den)_e| <= max|c| * prod len(u)
+    over the denominator units.  Only if the wider of the two needs more
+    than k bytes is num packed a second time.  A narrow read-back of num
+    cannot stand in for that bound: an overflowing slot reads back as a
+    wrong value that still lies in range (`_packed_width`'s proof).  Two
+    integer vectors in range pack to the same residue only if they are
+    equal, so the check is exact, and as den is a unit it passes iff c
+    is the quotient.  It uses neither den's packed inverse nor the
     product by it, so it also catches a fault in those.  If it fails, k
     doubles.
 
     The loop stops: p(n) <= 2^n bounds the coefficients of 1/(q;q)_inf,
     so with r denominator units every coefficient of 1/den below q^N is
     at most C(N - 1 + r, r) 2^(N-1), and every |c_e| at most
-    prod len(num units) times that.  The width of that bound is the
-    last one tried (k grows as min(2k, last)); a failed check there is
-    a fault, raised as RuntimeError.  The SC7 quotient passes at k = 2.
+    prod len(f) over all numerator factors times that.  The width of
+    that bound is the last one tried (k grows as min(2k, last)); a failed
+    check there is a fault, raised as RuntimeError.  The SC7 quotient
+    passes at k = 2; its check runs at 2 bytes up to prec 34742 and at 4
+    bytes beyond, where max|c| * len(den) passes 2^15.
 
     Cost: O(N^1.5) word operations for the shifted adds, plus the few
     products of 8kN-bit integers in the inverse and the quotient
     (Karatsuba, about O(N^1.58)), with no Python step per coefficient.
+    The products take most of the time from about N = 10^4 on.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
@@ -420,24 +470,37 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     body = prec - shift
     if body <= 0:
         return QSeries([0] * prec)
-    num, den = [], []
+    net = Counter()
     for scale, exponent in spec.factors:
-        (num if exponent > 0 else den).extend([[(0, 1)] + _euler_terms(scale, body)] * abs(exponent))
-    num_bound, den_bound = prod(map(len, num)), prod(map(len, den))
-    last = _packed_width((num_bound * comb(body - 1 + len(den), len(den))) << (body - 1))
+        net[scale] += exponent
+    num, den = [], []
+    for scale in net:
+        pairs = min(-net[scale], net[2 * scale] // 2)
+        if pairs > 0:
+            num.extend(_psi_terms(scale, body) for _ in range(pairs))
+            net[scale] += pairs
+            net[2 * scale] -= 2 * pairs
+    for scale, exponent in net.items():
+        if exponent:
+            (num if exponent > 0 else den).extend([[(0, 1)] + _euler_terms(scale, body)] * abs(exponent))
+    num.sort(key=len, reverse=True)
+    row, rest = _pair_row(num[:2], body), num[2:]
+    row_max = max(map(abs, row))
+    num_bound, den_bound = row_max * prod(map(len, rest)), prod(map(len, den))
+    last = _packed_width((prod(map(len, num)) * comb(body - 1 + len(den), len(den))) << (body - 1))
 
-    def packed(units, k, x=1):
-        for terms in units:
+    def packed(factors, k, x=1):
+        for terms in factors:
             x = _mul_packed(x, terms, k, body)
         return x
 
-    k = 2
+    k = _packed_width(row_max)
     while True:
-        a = packed(num, k)
+        a = packed(rest, k, _pack(row, k))
         c = _unpack(a * _inverse_2adic(packed(den, k), 8 * k * body), k, body)
         check = max(k, _packed_width(max(num_bound, max(map(abs, c)) * den_bound)))
         if check > k:
-            a = packed(num, check)
+            a = packed(rest, check, _pack(row, check))
         if (packed(den, check, _pack(c, check)) - a) & ((1 << 8 * check * body) - 1) == 0:
             return QSeries([0] * shift + c)
         if k == last:

@@ -1,8 +1,11 @@
 import random
+from bisect import bisect_right
+from collections import Counter
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
-from itertools import accumulate
-from math import isqrt
+from functools import partial
+from itertools import accumulate, product
+from math import comb, isqrt, prod
 
 import pytest
 
@@ -18,6 +21,7 @@ from sc7core.qseries import (
     _mul_packed,
     _pack,
     _packed_width,
+    _psi_terms,
     _unpack,
     _x_terms,
     euler_factor,
@@ -224,6 +228,41 @@ def _ref_eta_quotient_series(spec, prec):
     return (0,) * shift + tuple(c)
 
 
+def _ref_pentagonal_eta_series(spec, prec):
+    # eta_quotient_series before it paired eta(2s tau)^2 / eta(s tau) into
+    # psi(q^s): every factor a pentagonal unit, the numerator bounded by the
+    # product of the unit lengths
+    if prec < 1:
+        raise ValueError("precision must be positive")
+    shift = int(spec.leading_power)
+    body = prec - shift
+    if body <= 0:
+        return QSeries([0] * prec)
+    num, den = [], []
+    for scale, exponent in spec.factors:
+        (num if exponent > 0 else den).extend([[(0, 1)] + _euler_terms(scale, body)] * abs(exponent))
+    num_bound, den_bound = prod(map(len, num)), prod(map(len, den))
+    last = _packed_width((num_bound * comb(body - 1 + len(den), len(den))) << (body - 1))
+
+    def packed(units, k, x=1):
+        for terms in units:
+            x = _mul_packed(x, terms, k, body)
+        return x
+
+    k = 2
+    while True:
+        a = packed(num, k)
+        c = _unpack(a * _inverse_2adic(packed(den, k), 8 * k * body), k, body)
+        check = max(k, _packed_width(max(num_bound, max(map(abs, c)) * den_bound)))
+        if check > k:
+            a = packed(num, check)
+        if (packed(den, check, _pack(c, check)) - a) & ((1 << 8 * check * body) - 1) == 0:
+            return QSeries([0] * shift + c)
+        if k == last:
+            raise RuntimeError(f"eta quotient {spec.factors} failed its exact check at the proved width of {k} bytes")
+        k = min(2 * k, last)
+
+
 # 70 is a generalized pentagonal number, and so are 70/2 = 35 and 70/14 = 5:
 # a body of length 70 stops just short of a term of (q;q), (q^2;q^2) and
 # (q^14;q^14).
@@ -246,20 +285,57 @@ def test_euler_terms_match_binomial_product(scale):
         assert tuple(dense) == euler_factor(scale, -1, prec).coeffs
 
 
-@pytest.mark.parametrize("spec", [
+REFERENCE_SPECS = [
     SC7_ETA_QUOTIENT,
     EtaQuotientSpec(((8, 3),)),
     EtaQuotientSpec(((1, -3), (3, 9))),
     EtaQuotientSpec(((2, 5), (1, -2), (4, -2))),
     EtaQuotientSpec(((4, -3), (12, 3))),
     EtaQuotientSpec(((6, -2), (3, 4), (2, 6), (1, 12))),
-])
+]
+
+
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
 def test_eta_quotient_matches_reference(spec):
     for prec in _precisions(int(spec.leading_power)):
         assert eta_quotient_series(spec, prec).coeffs == _ref_eta_quotient_series(spec, prec)
 
 
-# eta(tau)^-24 eta(2 tau)^24 at precision 200: its coefficients reach far
+@pytest.mark.parametrize("spec", REFERENCE_SPECS)
+def test_eta_quotient_matches_pentagonal_reference(spec):
+    for prec in _precisions(int(spec.leading_power)):
+        assert eta_quotient_series(spec, prec) == _ref_pentagonal_eta_series(spec, prec)
+
+
+def test_sc7_quotient_matches_pentagonal_reference():
+    for prec in (4003, 20003):
+        assert eta_quotient_series(SC7_ETA_QUOTIENT, prec) == _ref_pentagonal_eta_series(SC7_ETA_QUOTIENT, prec)
+
+
+# Specs for the pairing rule, each eta(2s tau)^2 / eta(s tau) becoming one
+# psi(q^s) row, with the scale s of each pair in the order they are made.
+PAIRING_SPECS = [
+    (EtaQuotientSpec(((1, -1), (2, 2), (3, -1), (6, 2), (12, 1))), [1, 3]),  # pairs at two scales
+    (EtaQuotientSpec(((1, -2), (2, 4), (18, 1))), [1, 1]),  # two pairs at one scale
+    (EtaQuotientSpec(((2, -1), (4, 3), (14, 1))), [2]),  # eta(4 tau) left over
+    (EtaQuotientSpec(((2, 1), (14, 1), (7, 1), (2, 1), (28, 1), (4, -1), (1, -1))), [1]),  # SC7, scale 2 split
+    (EtaQuotientSpec(((1, -1), (2, 1), (23, 1))), []),  # eta(2 tau) only once: no pair
+]
+
+
+@pytest.mark.parametrize("spec, scales", PAIRING_SPECS)
+def test_eta_quotient_pairs_into_psi(spec, scales):
+    for prec in _precisions(int(spec.leading_power)):
+        made = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qseries, "_psi_terms", lambda scale, limit: made.append(scale) or _psi_terms(scale, limit))
+            c = eta_quotient_series(spec, prec).coeffs
+        assert c == _ref_eta_quotient_series(spec, prec), (spec, prec)
+        assert made == (scales if prec > spec.leading_power else []), (spec, prec)
+
+
+# eta(tau)^-24 eta(2 tau)^24 at precision 200, which pairs into
+# psi(q)^12 (q^2; q^2)^12 with no denominator: its coefficients reach far
 # beyond 2^63, so the quotient fails its exact check at widths 2, 4, 8
 # and 16 and reads back in slots of 32 bytes, wider than any array
 # typecode.  The reference takes 2-3 s at the precision 602 of
@@ -293,10 +369,16 @@ def test_eta_quotient_matches_reference_in_wide_slots(monkeypatch):
 
 def test_sc7_quotient_holds_at_the_first_width(monkeypatch):
     # one 2-adic inverse at k = 2: the check passes at the first width,
-    # which is what makes the route fast
+    # which is what makes the route fast.  The numerator's row is packed
+    # once and the quotient once, both at 2 bytes: the numerator bound
+    # max|row| * prod len(rest) stays below 2^15, where the product of
+    # all the unit lengths would pack the numerator again at 8 bytes.
     widths = _count_widths(monkeypatch, 20001)
+    packs = []
+    monkeypatch.setattr(qseries, "_pack", lambda values, k: packs.append(k) or _pack(values, k))
     eta = eta_quotient_series(SC7_ETA_QUOTIENT, 20003)
     assert widths == [2]
+    assert packs == [2, 2]
     assert eta[20002] == 64
 
 
@@ -413,55 +495,75 @@ def _ref_sparse_sc_series(t, prec):
 THETA_EDGES = (57, 58, 69, 70)
 
 
-def _coefficient_bound(t, prec):
-    # (2M + 3)^(s - 1), the bound on every coefficient of sc_series(t, prec)
-    # that its docstring proves, with M = isqrt(prec // t) and t = 2s + 1
+def _box_bound(t, prec):
+    # (2M + 3)^(s - 1), the lattice-box bound on every coefficient of
+    # sc_series(t, prec), with M = isqrt(prec // t) and t = 2s + 1.  The
+    # coefficient of q^n counts the x in Z^s with
+    # sum_i (t x_i^2 - 2 j_i x_i) = n < prec.  Each term is at least
+    # |x_i| (t |x_i| - t + 1) >= 0, so below prec, which bounds every
+    # |x_i| by M + 1: 2M + 3 values for each of the first s - 1
+    # coordinates, and then at most one integer root for the last, as the
+    # two roots of t x^2 - 2 j x = c sum to 2j/t, strictly between 0 and 1.
     return (2 * isqrt(prec // t) + 3) ** max((t - 3) // 2, 0)
+
+
+def _row_bound(t, prec):
+    # max(row) * prod len(F_i), the bound that sc_series sizes its slots
+    # from: the row, the product of the first two factors below q^prec,
+    # is counted here pair by pair, and the F_i are the later factors
+    factors = [_x_terms(t, -2 * j, prec) for j in range(1, (t + 1) // 2)]
+    row = Counter(e for e in map(sum, product(*factors[:2])) if e < prec)
+    return max(row.values()) * prod(map(len, factors[2:]))
 
 
 def _slot_width(t, prec):
     # the bytes per packed slot that sc_series derives from that bound
-    return _packed_width(_coefficient_bound(t, prec))
+    return _packed_width(_row_bound(t, prec))
 
 
 def _width_ticks(t, lo, hi):
     # each prec in (lo, hi] whose slot width differs from prec - 1's, with
     # prec - 1: the last precision of the old width and the first of the
-    # new.  The width depends on prec only through M = isqrt(prec // t),
-    # which steps at prec = t M^2, so only those precisions are tried.
-    ticks = [p for p in (t * m * m for m in range(1, isqrt(hi // t) + 1))
-             if max(lo, 1) < p and _slot_width(t, p) != _slot_width(t, p - 1)]
-    return tuple(q for p in ticks for q in (p - 1, p))
+    # new.  The bound never falls as prec grows (the row and the factors
+    # only gain terms), so each new width is found by bisection.
+    ticks = []
+    p = max(lo, 1)
+    while (w := _slot_width(t, p)) != _slot_width(t, hi):
+        p += bisect_right(range(p, hi + 1), w, key=partial(_slot_width, t))
+        ticks += [p - 1, p]
+    return tuple(ticks)
 
 
 def _check_sc_series(t, prec, reference):
-    # sc_series(t, prec) against the reference and under its bound, packed
-    # at the width that the bound gives: its coefficients are far below
-    # the bound, so a narrower slot would read them back all the same, and
-    # only the recorded width shows it
+    # sc_series(t, prec) against the reference and under both bounds,
+    # packed at the width that the row bound gives: its coefficients are
+    # below the bound, so a narrower slot might read them back all the
+    # same, and only the recorded width shows it
     widths = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(qseries, "_pack", lambda values, k: widths.append(k) or _pack(values, k))
         c = sc_series(t, prec).coeffs
     assert widths == [_slot_width(t, prec)], (t, prec)
     assert c == reference(t, prec), (t, prec)
-    assert max(c) <= _coefficient_bound(t, prec), (t, prec)
+    assert max(c) <= min(_row_bound(t, prec), _box_bound(t, prec)), (t, prec)
     return c
 
 
-# The width ticks below 10^5: the bound (2M + 3)^(s - 1) passes 2^15 at
-# t = 9 when 2M + 3 = 33 (M = 15) and at t = 7 when 2M + 3 = 183, and at
-# t = 21 it passes 2^15, 2^31 and 2^63 at M = 1, 4 and 63.  For t = 3 the
-# bound is 1, and for t = 5 it is 2M + 3, below 2^15 until prec 5*16383^2.
+# The width ticks below 10^5 under the row bound.  At t = 7 the bound is
+# 2868 at 10^5 and passes 2^15 only above 3*10^6.  For t = 3 and 5 there
+# is no later factor and the bound is max(row), a few units.  At t = 31
+# it passes 2^15, 2^31, 2^63, 2^71, 2^79 and 2^87, so the slots leave the
+# array typecodes at 5448.
 WIDTH_TICKS = {
     3: (),
     5: (),
-    7: (56699, 56700),
-    9: (2024, 2025),
-    11: (395, 396),
-    13: (116, 117, 16847, 16848),
-    15: (59, 60, 4334, 4335),
-    21: (20, 21, 335, 336, 83348, 83349),
+    7: (),
+    9: (12099, 12100),
+    11: (1160, 1161),
+    13: (408, 409, 57156, 57157),
+    15: (177, 178, 11536, 11537),
+    21: (64, 65, 931, 932),
+    31: (43, 44, 184, 185, 5447, 5448, 12760, 12761, 28560, 28561, 66976, 66977),
 }
 
 
@@ -469,7 +571,7 @@ def test_width_ticks_are_where_the_bound_gains_a_digit():
     # the digits are slots of 2, 4, 8 and then any number of bytes
     for t, ticks in WIDTH_TICKS.items():
         assert _width_ticks(t, 0, 10**5) == ticks, t
-    assert [_slot_width(21, p) for p in WIDTH_TICKS[21][-2:]] == [8, 9]
+    assert [_slot_width(31, p) for p in WIDTH_TICKS[31][4:6]] == [8, 9]
 
 
 # The binomial oracle is quadratic: it checks the width ticks below 3000.
@@ -481,7 +583,7 @@ def test_sc_series_matches_reference(t):
 
 def test_sc_series_matches_sparse_reference():
     _check_sc_series(7, 20000, _ref_sparse_sc_series)
-    for t in (13, 15):
+    for t in (9, 15):
         for prec in _width_ticks(t, 3000, 2 * 10**4):
             _check_sc_series(t, prec, _ref_sparse_sc_series)
 
@@ -514,16 +616,16 @@ def _ref_decimal_sc_series(t, prec):
 
 
 def test_sc_series_matches_decimal_reference():
-    # t = 7 around its one width tick below 10^5 and at the sizes the CLI
-    # serves; t = 21 where the slots grow past 8 bytes and leave the array
-    # path for one to_bytes call per slot.  The oracle takes about 3 s at
-    # t = 21, so the last 8-byte precision is checked against the checked
-    # 9-byte series, which holds it as a prefix.
+    # t = 7 at the sizes the CLI serves, and at 56699 and 56700, where the
+    # lattice-box bound widened the slots from 2 to 4 bytes; t = 31 where
+    # the slots grow past 8 bytes and leave the array path for one
+    # to_bytes call per slot.  The last 8-byte precision is checked
+    # against the checked 9-byte series, which holds it as a prefix.
     for prec in (30001, 56699, 56700, 100001):
         _check_sc_series(7, prec, _ref_decimal_sc_series)
-    last8, first9 = WIDTH_TICKS[21][-2:]
-    wide = _check_sc_series(21, first9, _ref_decimal_sc_series)
-    _check_sc_series(21, last8, lambda t, prec: wide[:prec])
+    last8, first9 = WIDTH_TICKS[31][4:6]
+    wide = _check_sc_series(31, first9, _ref_decimal_sc_series)
+    _check_sc_series(31, last8, lambda t, prec: wide[:prec])
 
 
 def test_decimal_is_the_c_module():
