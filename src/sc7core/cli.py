@@ -4,16 +4,19 @@ Subcommands: sc7 (one count, chosen route), table (batch CSV/JSON),
 verify (cross-validation sweeps), forms and hurwitz (class-number data).
 
 One registry, ROUTES, describes the routes, and `sc7`, `table`, `verify`
-and the demos all go through it.  `record_for` evaluates one cell by a
-route's count(n), else its table(N = n).  `table` prints a column route's
-cells straight from its column and the other routes' cells through
-`record_for`, CHUNK n at a time, by one of two paths.  When every route
-has a column and the chunk's values are all counts, a row template built
-from the line formatter writes each n in one format call; otherwise one
-loop over n, then over the routes, writes the cells one by one with the
-same formatter.  Each verify check in CHECKS yields its comparisons
-(n, (label, lhs), (label, rhs)); one sweep loop counts them and stops
-at the first mismatch.
+and the demos all go through it.  One cell reader, `_cell`, reads a
+route's value at n from a given column, else by its count(n), else from
+its table(N = n), and checks that it is a count; `record_for` adds the
+route's extras.  `table` prints a column route's cells straight from its
+column and the other routes' cells through `record_for`, CHUNK n at a
+time, by one of two paths.  When every route has a column and the
+chunk's values are all counts, a row template built from the line
+formatter writes each n in one format call; otherwise one loop over n,
+then over the routes, writes the cells one by one with the same
+formatter.  Each verify check in CHECKS yields its comparisons
+(n, (label, lhs), (label, rhs)), reading route cells through `_cell`
+and its tables from a per-run memo that builds each table on its first
+read; one sweep loop counts them and stops at the first mismatch.
 
 Exit codes: 0 success; 1 usage error, malformed input, or a query too
 large for the chosen route; 2 input that is well-formed but outside a
@@ -47,7 +50,7 @@ from .eisenstein import (
     theta_from_eisenstein,
 )
 from .partitions import sc_count, sc_count_column
-from .qseries import SC7_ETA_QUOTIENT, eta_quotient_series, format_coefficient, sc_series
+from .qseries import SC7_ETA_QUOTIENT, eta_quotient_series, sc_series
 from .quadforms import dirichlet_hurwitz, hurwitz, hurwitz_scaled, reduced_forms
 from .ternary import DECOMPOSITION_FORMS, sc7_from_rep_columns, sc7_from_thetas, theta_coeffs
 
@@ -84,9 +87,11 @@ class Route(NamedTuple):
     sc7(0..N) at once (enum, qseries, eta, theta).  count(n) answers one n
     on its own: the only path of theorem and cor2, and a faster one than a
     table to N = n for enum and theta.  extras(n, value) gives the D_n and
-    H fields a class-number route reports with its checked count.  Entries
-    call the library through this module's names at call time, so
-    patching `cli.sc_series` (say) reaches them."""
+    H fields a class-number route reports with its checked count.  Where a
+    route applies is stated only by its functions, which raise
+    HypothesisViolation elsewhere.  Entries call the library through this
+    module's names at call time, so patching `cli.sc_series` (say)
+    reaches them."""
 
     table: Optional[Callable[[int], Sequence]] = None
     count: Optional[Callable[[int], int]] = None
@@ -104,7 +109,7 @@ def _class_number_extras(n: int, value: int) -> dict:
         return {"D_n": d.D, "H": value * 2 ** (d.epsilon + 1)}
     H = hurwitz(d.D)
     if H.denominator != 1:
-        raise InexactCount(f"class number H(-{d.D}) at n={n} is {format_coefficient(H)}")
+        raise InexactCount(f"class number H(-{d.D}) at n={n} is {H}")
     return {"D_n": d.D, "H": H.numerator}
 
 
@@ -137,26 +142,31 @@ def _route(name: str) -> Route:
     return ROUTES[name]
 
 
-def _is_count(value) -> bool:
+def _cell(route: str, n: int, column=None) -> int:
+    """The (n, route) cell: column[n] when a column of the route is given,
+    else the route's count(n), else its table built to N = n, at n.  Every
+    cell that `sc7`, `table` and `verify` read one by one comes through
+    here.  Raises InexactCount (exit code 3) unless the value is a
+    non-negative int; HypothesisViolation from count(n) passes through."""
+    if column is not None:
+        value = column[n]
+    else:
+        r = ROUTES[route]
+        value = r.count(n) if r.count else r.table(n)[n]
     # type(...) is int, not isinstance: a bool is an int, but prints as True
-    return type(value) is int and value >= 0
-
-
-def _not_a_count(route: str, n: int, value) -> InexactCount:
-    return InexactCount(f"{route} route at n={n} gives {value}")
+    if type(value) is not int or value < 0:
+        raise InexactCount(f"{route} route at n={n} gives {value}")
+    return value
 
 
 def record_for(n: int, route: str) -> OutputRecord:
-    """Evaluate one (n, route) cell: count(n) when the route has one,
-    else its table built to N = n, at n.  Raises HypothesisViolation
-    when the route does not apply at n; table mode skips such cells,
-    single mode turns them into exit code 2.  Raises InexactCount (exit
-    code 3) unless the count is a non-negative int (a bool is not one);
-    `table` checks the cells it reads from a column the same way."""
+    """Evaluate one (n, route) cell by `_cell`, with the route's extras.
+    Raises HypothesisViolation when the route does not apply at n; table
+    mode skips such cells, single mode turns them into exit code 2.
+    Raises InexactCount (exit code 3) unless the count is a non-negative
+    int (a bool is not one)."""
     r = _route(route)
-    value = r.count(n) if r.count else r.table(n)[n]
-    if not _is_count(value):
-        raise _not_a_count(route, n, value)
+    value = _cell(route, n)
     return OutputRecord(n, route, value, r.extras(n, value) if r.extras else _NO_EXTRAS)
 
 
@@ -236,7 +246,7 @@ def _chunk(routes: list, columns: dict, lo: int, hi: int, line: Callable) -> tup
     When every route has a column and every slice to print holds only
     non-negative ints, each n is one format call with the `_row_format`
     template.  Otherwise the cells are written one by one in (n, route)
-    order: a column route's value is read from its column and checked, a
+    order: a column route's value is read from its column by `_cell`, a
     class-number route's cell comes from `record_for` and is skipped
     outside the route's hypotheses.  Nothing after a failed cell is
     computed.
@@ -249,18 +259,15 @@ def _chunk(routes: list, columns: dict, lo: int, hi: int, line: Callable) -> tup
     lines = []
     for n in range(lo, hi):
         for route in routes:
-            if route in columns:
-                value = columns[route][n]
-                if not _is_count(value):
-                    return "".join(lines), _not_a_count(route, n, value)
-                lines.append(line(n, route, value, _NO_EXTRAS))
-            else:
-                try:
+            try:
+                if route in columns:
+                    lines.append(line(n, route, _cell(route, n, columns[route]), _NO_EXTRAS))
+                else:
                     lines.append(line(*record_for(n, route)))
-                except HypothesisViolation:
-                    pass  # cell outside this route's hypotheses
-                except Exception as exc:
-                    return "".join(lines), exc
+            except HypothesisViolation:
+                pass  # cell outside this route's hypotheses
+            except Exception as exc:
+                return "".join(lines), exc
     return "".join(lines), None
 
 
@@ -271,7 +278,7 @@ def cmd_forms(args) -> int:
 
 
 def cmd_hurwitz(args) -> int:
-    print(format_coefficient(hurwitz(args.D)))
+    print(hurwitz(args.D))
     return 0
 
 
@@ -279,46 +286,70 @@ def cmd_hurwitz(args) -> int:
 # verification sweeps
 #
 # A check yields its comparisons (n, (label, lhs), (label, rhs)) lazily,
-# so a sweep that fails stops computing.  It reads the route tables of
-# cmd_verify, built once per run for the largest n any selected check
-# needs, and reads only the entries its own bound covers.
+# so a sweep that fails stops computing.  It asks the run's memo
+# table(name, N) for each table it reads, at the largest n it reads
+# there, and reads each route cell through `_cell`, as `table` does.
 
-def _against_qseries(route: str, limit: int, tables: dict, keep=None):
-    column, count, qs = tables.get(route), ROUTES[route].count, tables["qseries"]
+def _tables() -> Callable[[str, int], Sequence]:
+    """A per-run memo table(name, N): a route's count column sc7(0..N),
+    or "reps", the representation numbers R_i(m), m <= N + 2, of the three
+    decomposition forms.  A table is built on its first read, and built
+    again, longer, when a later read goes past its end.  The theta column
+    is combined at each read from the memo's own reps, so one set of theta
+    series serves both."""
+    built: dict = {}  # name -> (N, its table to N); a name not built is absent
+
+    def table(name: str, N: int):
+        if name == "theta":
+            return _theta_column(table("reps", N), N)
+        if name not in built or built[name][0] < N:
+            built[name] = N, (_theta_reps if name == "reps" else ROUTES[name].table)(N)
+        return built[name][1]
+    return table
+
+
+def _against_qseries(route: str, limit: int, table: Callable, keep=None):
+    qs = table("qseries", limit)
+    column = table(route, limit) if ROUTES[route].table else None
     for n in range(limit + 1):
         if keep is None or keep(n):
-            yield n, (route, count(n) if column is None else column[n]), ("qseries", qs[n])
+            try:
+                lhs = _cell(route, n, column)
+            except HypothesisViolation:
+                continue  # n outside the route's hypotheses
+            yield n, (route, lhs), ("qseries", _cell("qseries", n, qs))
 
 
 # route-equivalence checks each route against the q-series, in this
-# order: up to the smaller of the bound and the route's cap, at the n
-# its domain test keeps.
+# order: up to the smaller of the bound and the route's cap, at every n
+# where the route applies and its keep test, if any, holds.  cor2
+# answers n = 7 mod 8 with the theorem route's 0, so it is checked only
+# where its character sum is taken.
 EQUIVALENCE = {
     "eta": (math.inf, None),
     "theta": (498, None),
     "enum": (300, None),
-    "theorem": (math.inf, lambda n: n % 2 and n % 7 != 5),
-    "cor2": (1000, lambda n: n % 2 and n % 7 != 5 and n % 8 != 7
-             and is_fundamental(-discriminant_of(n).D)),
+    "theorem": (math.inf, None),
+    "cor2": (1000, lambda n: n % 8 != 7),
 }
 
 
-def _route_equivalence(limit: int, tables: dict):
+def _route_equivalence(limit: int, table: Callable):
     for route, (cap, keep) in EQUIVALENCE.items():
-        yield from _against_qseries(route, min(limit, cap), tables, keep)
+        yield from _against_qseries(route, min(limit, cap), table, keep)
 
 
-def _vanishing(limit: int, tables: dict):
-    qs = tables["qseries"]
+def _vanishing(limit: int, table: Callable):
+    qs = table("qseries", limit)
     for n in range(7, limit + 1, 8):
-        yield n, ("qseries", qs[n]), (None, 0)
+        yield n, ("qseries", _cell("qseries", n, qs)), (None, 0)
 
 
 def _against_lattice(label: str, formula: Callable, first: int):
     """A formula for the lattice count R_i(m) of each of the three forms,
     against the reps table, at odd m >= first coprime to 7."""
-    def cases(limit: int, tables: dict):
-        reps = tables["reps"]
+    def cases(limit: int, table: Callable):
+        reps = table("reps", limit - 2)
         for m in range(first, limit + 1, 2):
             if m % 7:
                 for i in (1, 2, 3):
@@ -330,46 +361,40 @@ def _fundamental(limit: int):
     return (D for D in range(3, limit + 1) if is_fundamental(-D))
 
 
-def _cohen_scaling(limit: int, tables: dict):
+def _cohen_scaling(limit: int, table: Callable):
     for D in _fundamental(limit):
         for f in (1, 3, 5, 9, 11, 13, 15):
             yield (D, (f"hurwitz_scaled(f={f})", hurwitz_scaled(D, f)),
                    ("hurwitz", hurwitz(D * f * f)))
 
 
-def _dirichlet_vs_forms(limit: int, tables: dict):
+def _dirichlet_vs_forms(limit: int, table: Callable):
     for D in _fundamental(limit):
         yield D, ("dirichlet", dirichlet_hurwitz(D)), ("forms", hurwitz(D))
 
 
 class Check(NamedTuple):
     bound: int  # default sweep bound
-    needs: Callable[[int], dict]  # bound -> {table: largest n it is read at}
-    cases: Callable  # (bound, tables) -> comparisons
+    cases: Callable  # (bound, table) -> comparisons, table the run's memo
 
 
-# "reps" is the table of R_i(m), m <= n + 2, that the theta column is
-# combined from.  The formulas are looked up by name at call time, so a
-# wrapper put on this module's names (a tracer, a test) sees their calls.
+# The formulas are looked up by name at call time, so a wrapper put on
+# this module's names (a tracer, a test) sees their calls.
 CHECKS = {
-    "route-equivalence": Check(2000, lambda n: {"qseries": n, **{
-        route: min(n, cap) for route, (cap, _) in EQUIVALENCE.items() if ROUTES[route].table}},
-        _route_equivalence),
-    "vanishing-7mod8": Check(2000, lambda n: {"qseries": n}, _vanishing),
-    "theta-identity": Check(498, lambda n: {"qseries": n, "theta": n},
-                            lambda n, tables: _against_qseries("theta", n, tables)),
-    "closed-R-tables": Check(301, lambda n: {"reps": n - 2}, _against_lattice(
+    "route-equivalence": Check(2000, _route_equivalence),
+    "vanishing-7mod8": Check(2000, _vanishing),
+    "theta-identity": Check(498, lambda n, table: _against_qseries("theta", n, table)),
+    "closed-R-tables": Check(301, _against_lattice(
         "closed_rep_count", lambda i, m: closed_rep_count(i, m), 3)),
-    "g-basis": Check(301, lambda n: {"reps": n - 2}, _against_lattice(
+    "g-basis": Check(301, _against_lattice(
         "theta_from_eisenstein", lambda i, m: theta_from_eisenstein(i, m), 1)),
-    "cohen-scaling": Check(500, lambda n: {}, _cohen_scaling),
-    "dirichlet-vs-forms": Check(2000, lambda n: {}, _dirichlet_vs_forms),
+    "cohen-scaling": Check(500, _cohen_scaling),
+    "dirichlet-vs-forms": Check(2000, _dirichlet_vs_forms),
 }
 
 
 def _side(label: Optional[str], value) -> str:
-    text = format_coefficient(value)
-    return text if label is None else f"{label}:{text}"
+    return str(value) if label is None else f"{label}:{value}"
 
 
 def cmd_verify(args) -> int:
@@ -381,23 +406,10 @@ def cmd_verify(args) -> int:
         print(f"error: unknown check {args.check!r}; valid checks: "
               f"{', '.join(CHECKS)}, all", file=sys.stderr)
         return 1
-    limits = {name: args.max if args.max is not None else CHECKS[name].bound for name in names}
-    needs: dict = {}
+    table = _tables()
     for name in names:
-        for table, N in CHECKS[name].needs(limits[name]).items():
-            needs[table] = max(needs.get(table, N), N)
-    # The theta column is combined from the reps table, so one set of
-    # theta series serves both, built to the larger need.
-    theta = needs.pop("theta", None)
-    if theta is not None:
-        needs["reps"] = max(needs.get("reps", theta), theta)
-    tables = {table: (_theta_reps if table == "reps" else ROUTES[table].table)(N)
-              for table, N in needs.items()}
-    if theta is not None:
-        tables["theta"] = _theta_column(tables["reps"], theta)
-    for name in names:
-        cases = 0
-        for n, lhs, rhs in CHECKS[name].cases(limits[name], tables):
+        check, cases = CHECKS[name], 0
+        for n, lhs, rhs in check.cases(check.bound if args.max is None else args.max, table):
             if lhs[1] != rhs[1]:
                 print(f"FAIL {name}: n={n} lhs={_side(*lhs)} rhs={_side(*rhs)}")
                 return 3

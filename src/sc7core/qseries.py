@@ -54,15 +54,6 @@ from math import comb, prod
 from operator import sub
 
 
-def format_coefficient(v) -> str:
-    """Exact serialization: integers bare, rationals as "p/q"."""
-    if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v.numerator)
-        return f"{v.numerator}/{v.denominator}"
-    return str(v)
-
-
 class QSeries:
     """Power series truncated at a fixed precision, exact arithmetic."""
 
@@ -101,7 +92,7 @@ class QSeries:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        head = ", ".join(format_coefficient(v) for v in self._coeffs[:8])
+        head = ", ".join(map(str, self._coeffs[:8]))
         tail = ", ..." if len(self._coeffs) > 8 else ""
         return f"QSeries([{head}{tail}], precision={len(self._coeffs)})"
 

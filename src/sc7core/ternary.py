@@ -47,8 +47,7 @@ from math import gcd, isqrt, lcm
 from operator import add, mod, mul
 
 from .arith import InexactCount
-from .qseries import (QSeries, _mul_packed, _pack, _packed_width, _unpack, _x_terms,
-                      format_coefficient)
+from .qseries import QSeries, _mul_packed, _pack, _packed_width, _unpack, _x_terms
 
 
 @dataclass(frozen=True)
@@ -222,7 +221,7 @@ def sc7_from_rep_columns(columns) -> list:
     if any(map(mod, totals, repeat(den))) or min(totals, default=0) < 0:
         for i, total in enumerate(totals):
             if total % den or total < 0:
-                raise InexactCount(f"theta combination gives {format_coefficient(Fraction(total, den))} "
+                raise InexactCount(f"theta combination gives {Fraction(total, den)} "
                                    f"for representation numbers {tuple(c[i] for c in columns)}")
     return [total // den for total in totals]
 

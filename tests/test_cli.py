@@ -275,6 +275,35 @@ def test_verify_case_counts():
         0, "OK 2500 cases\n")
 
 
+# Each check alone at the two smallest bounds.  At --max 1 and 2 the
+# lattice checks read their reps table to N = -1 and 0.
+SMALLEST_BOUNDS = {
+    "route-equivalence": (8, 11),
+    "vanishing-7mod8": (0, 0),
+    "theta-identity": (2, 3),
+    "closed-R-tables": (0, 0),
+    "g-basis": (3, 3),
+    "cohen-scaling": (0, 0),
+    "dirichlet-vs-forms": (0, 0),
+}
+
+
+@pytest.mark.parametrize("check", SMALLEST_BOUNDS)
+def test_each_check_alone_at_the_smallest_bounds(check):
+    for bound, cases in zip(("1", "2"), SMALLEST_BOUNDS[check]):
+        assert run_cli("verify", "--check", check, "--max", bound) == (0, f"OK {cases} cases\n")
+
+
+@pytest.mark.parametrize("value, text", [
+    (Fraction(4, 3), "4/3"), (Fraction(-1, 2), "-1/2"), (Fraction(8, 4), "2")])
+def test_verify_prints_a_formula_side_exactly(monkeypatch, capsys, value, text):
+    # a rational side prints as "p/q", an integral one bare
+    monkeypatch.setattr(cli, "closed_rep_count", lambda i, m: value)
+    assert cli.main(["verify", "--check", "closed-R-tables", "--max", "3"]) == 3
+    assert capsys.readouterr().out == (
+        f"FAIL closed-R-tables: n=3 lhs=closed_rep_count(1):{text} rhs=rep_count:8\n")
+
+
 def test_cli_end_to_end_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "sc7core.cli", "sc7", "9", "--route", "eta"],
@@ -332,10 +361,11 @@ def _theta_builds(prec):
 
 
 def test_verify_builds_each_series_once(monkeypatch):
-    # one build per series, at the largest n any check needs: at the
-    # default bounds, qseries and eta to 2000 and the reps to 498 (the
-    # theta column's cap, above the lattice checks' 299), shared with the
-    # theta column; the theta route is never counted one n at a time
+    # one build per series, at the n the first check to read it reads it
+    # to, which covers every later read here: at the default bounds,
+    # qseries and eta to 2000 and the reps to 498 (the theta column's
+    # cap, above the lattice checks' 299), shared with the theta column;
+    # the theta route is never counted one n at a time
     for argv, N, theta in ((["--max", "40"], 40, 40), ([], 2000, 498)):
         builds = _record_builds(monkeypatch, "sc_series", "eta_quotient_series",
                                 "theta_coeffs", "sc7_from_thetas")
@@ -344,6 +374,18 @@ def test_verify_builds_each_series_once(monkeypatch):
         assert builds == [("sc_series", 7, N + 1),
                           ("eta_quotient_series", cli.SC7_ETA_QUOTIENT, N + 3),
                           *_theta_builds(theta + 3)], argv
+
+
+def test_verify_builds_a_table_again_only_past_its_end(monkeypatch):
+    # at 600, route-equivalence reads the theta column to its cap of 498
+    # and theta-identity then reads it to 600: the theta series are built
+    # a second time, longer, and the lattice checks' 598 is inside them
+    builds = _record_builds(monkeypatch, "sc_series", "eta_quotient_series",
+                            "theta_coeffs", "sc7_from_thetas")
+    code, out = run_cli("verify", "--max", "600")
+    assert code == 0 and out.count(": OK ") == len(cli.CHECKS)
+    assert builds == [("sc_series", 7, 601), ("eta_quotient_series", cli.SC7_ETA_QUOTIENT, 603),
+                      *_theta_builds(501), *_theta_builds(603)]
 
 
 def test_verify_builds_the_enum_column_once(monkeypatch):
@@ -525,6 +567,18 @@ def _corrupt_theorem(monkeypatch, n, value):
     real = cli.sc7_from_class_number
     monkeypatch.setattr(cli, "sc7_from_class_number",
                         lambda m: value if m == n else real(m))
+
+
+@pytest.mark.parametrize("value", [True, Fraction(1)])
+def test_verify_checks_every_cell_it_reads(monkeypatch, capsys, value):
+    # sc7(11) = 1, and both values compare equal to it: verify refuses
+    # them as a count, with the line `sc7` prints, before any comparison
+    _corrupt_eta(monkeypatch, 11, value)
+    assert cli.main(["sc7", "11", "--route", "eta"]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: eta route at n=11 gives {value}\n"
+    assert cli.main(["verify", "--check", "route-equivalence", "--max", "20"]) == 3
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -26,17 +26,8 @@ from sc7core.qseries import (
     _x_terms,
     euler_factor,
     eta_quotient_series,
-    format_coefficient,
     sc_series,
 )
-
-
-def test_format_coefficient():
-    assert format_coefficient(5) == "5"
-    assert format_coefficient(-3) == "-3"
-    assert format_coefficient(Fraction(4, 3)) == "4/3"
-    assert format_coefficient(Fraction(8, 4)) == "2"
-    assert format_coefficient(Fraction(-1, 2)) == "-1/2"
 
 
 def test_qseries_basics():
