@@ -50,7 +50,7 @@ print(f"  sc7(9) = H/4 = {sc7_from_class_number(9)}")
 # denominator drops to 2.
 d = discriminant_of(11)
 print(f"\nn = 11: discriminant -{d.D}, H = {hurwitz(d.D)}")
-check(sc7_from_class_number(11) == hurwitz(d.D) / 2 == 1, "sc7(11) = H/2 = 1")
+check(sc7_from_class_number(11) == Fraction(hurwitz(d.D), 2) == 1, "sc7(11) = H/2 = 1")
 print(f"  sc7(11) = H/2 = {sc7_from_class_number(11)}")
 
 # The same number can be had without ever listing forms: the finite

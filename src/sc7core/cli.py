@@ -103,14 +103,14 @@ def _class_number_extras(n: int, value: int) -> dict:
     2^(epsilon+1), recovering H exactly from value, so no second class
     number is built; except at n = 7 mod 8, where the count uses none and
     H comes from `hurwitz`.  That D_n = 7 mod 8 is neither 3k^2 nor 4k^2,
-    so H is an integer, and InexactCount is raised if it is not."""
+    so H is an int, and InexactCount is raised if it is not."""
     d = discriminant_of(n)
     if n % 8 != 7:
         return {"D_n": d.D, "H": value * 2 ** (d.epsilon + 1)}
     H = hurwitz(d.D)
-    if H.denominator != 1:
+    if type(H) is not int:
         raise InexactCount(f"class number H(-{d.D}) at n={n} is {H}")
-    return {"D_n": d.D, "H": H.numerator}
+    return {"D_n": d.D, "H": H}
 
 
 def _theta_reps(N: int) -> list:

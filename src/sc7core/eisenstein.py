@@ -220,15 +220,15 @@ def theorem_discriminant(n: int) -> Discriminant:
     return d
 
 
-def _count_from_H(d: Discriminant, H: Fraction, what: str) -> int:
+def _count_from_H(d: Discriminant, H: int | Fraction, what: str) -> int:
     """sc7(n) = 2^(-epsilon-1) H(-D_n), that is H/4 for n = 1 mod 4 and
-    H/2 for n = 3 mod 8, as an int; raises InexactCount unless it is a
-    non-negative integer, so a wrong class number can never pass as a
-    count."""
-    value = H / 2 ** (d.epsilon + 1)
-    if value.denominator != 1 or value < 0:
-        raise InexactCount(f"{what} gives {value}")
-    return int(value)
+    H/2 for n = 3 mod 8, as an int; raises InexactCount unless H is an
+    int that 2^(epsilon+1) divides, with a non-negative quotient, so a
+    wrong class number can never pass as a count."""
+    divisor = 2 ** (d.epsilon + 1)
+    if type(H) is not int or H < 0 or H % divisor:
+        raise InexactCount(f"{what} gives {Fraction(H) / divisor}")
+    return H // divisor
 
 
 def sc7_from_class_number(n: int) -> int:

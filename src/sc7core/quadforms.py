@@ -31,18 +31,24 @@ for odd p not dividing D (q = p^k, k >= 2) needs p <= (D/3)^(1/4).
 joined by the Chinese remainder theorem and read off (`_forms`).  It
 costs O(sqrt(D) log D) steps plus one per candidate root.
 
-`hurwitz(D)` lists only where it must.  For a < sqrt(D)/2 every root
-gives a form with c > a and weight 1, and their number N(4a)/2, with
-N(m) the number of square roots of -D mod m, is multiplicative in a: it
-is counted with one `pow` per odd prime and one multiply per odd a
-(`_count_head`).  Only the a in [sqrt(D)/2, sqrt(D/3)], about 13% of the
-sweep, where c = a and the weights 1/2 and 1/3 can occur, are listed by
-`_forms`.  On one core of a 2-vCPU VM (Python 3.11, median of 15 runs)
-`hurwitz` takes about 1 ms at D = 2.8e6, 3 ms at D = 2.8e7 and 9 ms at
-D = 2.8e8 (the theorem route at n = 10^7 + 1), against 3.5, 13 and 35 ms
-for `reduced_forms` at the same D.  Its value is memoised for the last
-4096 distinct D: `verify` at its default bounds asks 4553 times for
-2096 distinct D, and the memo serves the 2457 repeats.
+`hurwitz(D)` counts, and lists roots only where it must.  For
+a < sqrt(D)/2 every root gives a form with c > a and weight 1, and their
+number N(4a)/2, with N(m) the number of square roots of -D mod m, is
+multiplicative in a (`_count_head`): N(p^k) has a closed form in v_p(D)
+and the residue class of the rest of -D (`_root_count`), so the head
+costs one `pow` per odd prime and one multiply per odd a, and lists no
+root.  Only the a in [sqrt(D)/2, sqrt(D/3)], about 13% of the sweep,
+where c = a and the weights 1/2 and 1/3 can occur, have their roots mod
+4a listed (`_roots_mod_4a`, shared with `_forms`), and then only where
+the closed form says there are any; the forms with c > a are counted
+from them and the one form with c = a, if any, is read off D, with no
+form built.  On one core of a 2-vCPU VM (Python 3.11, median of 15
+runs) `hurwitz` takes about 0.5 ms at D = 2.8e6, 1.6 ms at D = 2.8e7 and
+4.8 ms at D = 2.8e8 (the theorem route at n = 10^7 + 1), against 2.7, 10
+and 30 ms for `reduced_forms` at the same D.  Its value is memoised for
+the last 4096 distinct D: `verify` at its default bounds asks 4553 times
+for 2096 distinct D, and the memo serves the 2457 repeats.  H(-D) comes
+back as an int, and as a Fraction only at D = 4k^2 and D = 3k^2.
 
 `dirichlet_hurwitz(D)` evaluates S without a Python step per m.
 chi_{-D} is a product of periodic factors, the Legendre symbol (m/p) for
@@ -74,9 +80,6 @@ from .arith import (
     factorize,
     is_fundamental,
     kronecker,
-    mobius,
-    divisors,
-    sigma1,
     smallest_prime_factors,
 )
 
@@ -146,39 +149,47 @@ def _roots_mod_prime_power(D: int, p: int, q: int, roots: dict) -> list[int]:
     return xs
 
 
+def _roots_mod_4a(D: int, a: int, spf: list[int], roots: dict) -> list[int]:
+    """All x in [0, 4a) with x^2 = -D mod 4a, or [] if there is none.
+
+    With a = 2^v * a' (a' odd), 4a = 2^(v+2) * a', and a' is factored by
+    `spf`, a smallest-prime-factor table; the roots mod each prime power
+    come from `_roots_mod_prime_power` (cached in `roots`) and the Chinese
+    remainder theorem joins them.
+    """
+    # The cache is read here before any call: this runs once per a.
+    v = (a & -a).bit_length() - 1
+    modulus, rest = 4 << v, a >> v
+    xs = roots.get(modulus)
+    if xs is None:
+        xs = _roots_mod_prime_power(D, 2, modulus, roots)
+    while rest > 1 and xs:
+        p = q = spf[rest]
+        rest //= p
+        while rest % p == 0:
+            rest //= p
+            q *= p
+        ys = roots.get(q)
+        if ys is None:
+            ys = _roots_mod_prime_power(D, p, q, roots)
+        inv = pow(modulus, -1, q)
+        xs = [x + modulus * ((y - x) * inv % q) for x in xs for y in ys]
+        modulus *= q
+    return xs
+
+
 def _forms(D: int, a_range: range, spf: list[int], roots: dict):
     """Yield the reduced forms (a, b, c) of discriminant -D with a in
     a_range, in lexicographic order.
 
-    The b of each a are the square roots of -D mod 4a.  With a = 2^v * a'
-    (a' odd), 4a = 2^(v+2) * a', and a' is factored by `spf`, a
-    smallest-prime-factor table; the roots mod each prime power come from
-    `_roots_mod_prime_power` (cached in `roots`) and the Chinese remainder
-    theorem joins them.  Since b^2 mod 4a has period 2a in b, the roots in
-    [0, 2a) mapped into (-a, a] are the b of this a; a form is kept when
-    c >= a, with b >= 0 when a = c.
+    The b of each a are the square roots of -D mod 4a (`_roots_mod_4a`).
+    Since b^2 mod 4a has period 2a in b, the roots in [0, 2a) mapped into
+    (-a, a] are the b of this a; a form is kept when c >= a, with b >= 0
+    when a = c.
     """
-    # The cache is read here before any call: this loop runs once per a.
     for a in a_range:
-        v = (a & -a).bit_length() - 1
-        modulus, rest = 4 << v, a >> v
-        xs = roots.get(modulus)
-        if xs is None:
-            xs = _roots_mod_prime_power(D, 2, modulus, roots)
-        while rest > 1 and xs:
-            p = q = spf[rest]
-            rest //= p
-            while rest % p == 0:
-                rest //= p
-                q *= p
-            ys = roots.get(q)
-            if ys is None:
-                ys = _roots_mod_prime_power(D, p, q, roots)
-            inv = pow(modulus, -1, q)
-            xs = [x + modulus * ((y - x) * inv % q) for x in xs for y in ys]
-            modulus *= q
         two_a, four_a = 2 * a, 4 * a
-        bs = [x if x <= a else x - two_a for x in xs if x < two_a]
+        bs = [x if x <= a else x - two_a for x in _roots_mod_4a(D, a, spf, roots) if x < two_a]
         bs.sort()
         for b in bs:
             c = (b * b + D) // four_a
@@ -205,73 +216,134 @@ def reduced_forms(D: int) -> list[BinaryQF]:
     return list(_forms(D, range(1, amax + 1), spf, {1: [0]}))
 
 
-def _count_head(D: int, head: int, spf: list[int], roots: dict) -> int:
-    """The number of reduced forms of discriminant -D with a <= head, for
-    head the largest a with 4a^2 < D; each has weight 1 in H(-D).
+def _root_count(D: int, p: int, k: int) -> int:
+    """N(p^k) = #{x mod p^k : x^2 = -D mod p^k} for a prime p and k >= 1,
+    in closed form.
 
-    There c = (b^2 + D)/4a > a, so every b in (-a, a] with b^2 = -D mod 4a
-    gives a form, and a adds rho(a) = N(4a)/2 of them, where
-    N(m) = #{x mod m : x^2 = -D mod m} is multiplicative in m.  For odd p
-    not dividing D, N(p^k) = 1 + (-D/p), one `pow`; for p = 2 and for
-    p | D, N(p^k) is the length of the lifted root list.  N(a') is filled
-    over odd a' <= head from `spf`, one multiply each, and with
-    a = 2^v a' the sum over a is that over v of N(2^(v+2))/2 times the sum
-    of N(a') over odd a' <= head/2^v.
+    With D = p^e * D' (p not dividing D'): when k <= e, x^2 = 0 mod p^k
+    and N = p^(k//2).  When k > e, every root has v_p(x) = e/2, so there
+    is none for odd e; for even e, x = p^(e/2) y with y a unit root of
+    y^2 = -D' mod p^(k-e), and each such y mod p^(k-e) stands for p^(e/2)
+    roots x mod p^k.  For odd p there are 1 + (-D'/p) such y, one Euler
+    `pow`.  For p = 2 (D' odd) there is 1 such y when k - e = 1, 2 when
+    k - e = 2 and -D' = 1 mod 4, 4 when k - e >= 3 and -D' = 1 mod 8, and
+    none otherwise.
     """
-    n_odd = [0] * (head + 2)  # N(a') at odd a'
+    e, rest = 0, D
+    while rest % p == 0:
+        rest //= p
+        e += 1
+    if k <= e:
+        return p ** (k // 2)
+    if e % 2:
+        return 0
+    if p == 2:
+        j, n = k - e, -rest % 8
+        units = 1 if j == 1 else 2 * (n % 4 == 1) if j == 2 else 4 * (n == 1)
+    else:
+        units = 2 if pow(-rest % p, (p - 1) // 2, p) == 1 else 0
+    return units * p ** (e // 2)
+
+
+def _odd_root_counts(D: int, spf: list[int]) -> list[int]:
+    """N(m) = #{x mod m : x^2 = -D mod m} at every odd m < len(spf), 0 at
+    even m.
+
+    N is multiplicative, and N(p^k) is read off in closed form
+    (`_root_count`); for odd p not dividing D it is 1 + (-D/p) at every
+    k, one `pow`.  No root is listed: each odd m is split by `spf`, a
+    smallest-prime-factor table, and filled with one multiply.
+    """
+    n_odd = [0] * (len(spf) + 1)
     n_odd[1] = 1
-    for m in range(3, head + 1, 2):
+    for m in range(3, len(spf), 2):
         p = spf[m]
         r = m // p
-        if D % p == 0:  # N(p^k) from the lifted roots
-            q = p
+        if D % p == 0:
+            k = 1
             while r % p == 0:
                 r //= p
-                q *= p
-            n_odd[m] = n_odd[r] * len(_roots_mod_prime_power(D, p, q, roots))
+                k += 1
+            n_odd[m] = n_odd[r] * _root_count(D, p, k)
         elif r % p == 0:  # N(p^k) = N(p)
             n_odd[m] = n_odd[r]
         elif r > 1:
             n_odd[m] = n_odd[r] * n_odd[p]
         else:  # m = p is prime
             n_odd[m] = 2 if pow(-D % p, (p - 1) // 2, p) == 1 else 0
+    return n_odd
+
+
+def _count_head(D: int, head: int, n_odd: list[int]) -> int:
+    """The number of reduced forms of discriminant -D with a <= head, for
+    head the largest a with 4a^2 < D; each has weight 1 in H(-D).
+
+    There c = (b^2 + D)/4a > a, so every b in (-a, a] with b^2 = -D mod 4a
+    gives a form, and a adds rho(a) = N(4a)/2 of them, N the root count
+    of `_odd_root_counts`, given at odd m <= head in n_odd.  With
+    a = 2^v a' (a' odd), N(4a) = N(2^(v+2)) N(a'), so the sum over a is
+    that over v of N(2^(v+2))/2 (`_root_count`) times the sum of N(a')
+    over odd a' <= head/2^v.
+    """
     count = 0
     for v in range(head.bit_length()):
-        rho2 = len(_roots_mod_prime_power(D, 2, 4 << v, roots)) // 2
-        count += rho2 * sum(n_odd[1:(head >> v) + 1:2])
+        count += _root_count(D, 2, v + 2) // 2 * sum(n_odd[1:(head >> v) + 1:2])
     return count
 
 
 @lru_cache(maxsize=4096)
-def _hurwitz(D: int) -> Fraction:
-    """H(-D) for a checked D, memoised: see `hurwitz`."""
+def _hurwitz(D: int) -> int | Fraction:
+    """H(-D) for a checked D, memoised: see `hurwitz`.
+
+    A tail a, 4a^2 >= D, has t = 4a^2 - D >= 0, and a root b of b^2 = -D
+    mod 4a in (-a, a] gives c > a exactly when b^2 > t, that is
+    |b| > s = isqrt(t): the roots x in [0, 2a) with s < x < 2a - s.  The
+    form with c = a is (a, s, a), there exactly when t = s^2: weight 1/2
+    at s = 0 (D = 4a^2), 1/3 at s = a (D = 3a^2), else 1.  An a with
+    N(a') = 0 at its odd part a' has no root, so no form, and is passed
+    over before any root is listed; at the default `verify` bounds that
+    is about one tail a in two.
+    """
     amax = isqrt(D // 3)
     head = isqrt(D - 1) // 2  # the largest a with 4a^2 < D
     spf = smallest_prime_factors(amax)
+    n_odd = _odd_root_counts(D, spf)
+    count = _count_head(D, head, n_odd)
     roots = {1: [0]}
-    count = _count_head(D, head, spf, roots)
-    halves = thirds = 0
-    for f in _forms(D, range(head + 1, amax + 1), spf, roots):
-        count += 1
-        if f.a == f.c:
-            halves += f.b == 0
-            thirds += f.b == f.a
-    return Fraction(6 * count - 3 * halves - 4 * thirds, 6)
+    sixths = 0  # the weight 1/2 or 1/3 of a form (a, 0, a) or (a, a, a)
+    for a in range(head + 1, amax + 1):
+        if not n_odd[a // (a & -a)]:  # no root mod the odd part of a
+            continue
+        t = 4 * a * a - D
+        s = isqrt(t)
+        stop = 2 * a - s
+        count += len([x for x in _roots_mod_4a(D, a, spf, roots) if s < x < stop])
+        if s * s == t:
+            if s == 0:
+                sixths += 3
+            elif s == a:
+                sixths += 2
+            else:
+                count += 1
+    return Fraction(6 * count + sixths, 6) if sixths else count
 
 
-def hurwitz(D: int) -> Fraction:
+def hurwitz(D: int) -> int | Fraction:
     """Hurwitz class number H(-D): the reduced forms of discriminant -D,
     weighted 1/2 for (a, 0, a), 1/3 for (a, a, a) and 1 for every other.
+    It is an int, except at D = 4k^2 and D = 3k^2, where the one form
+    (k, 0, k) or (k, k, k) makes it a Fraction with denominator 2 or 3.
 
-    The forms are counted, not listed, for every a with 4a^2 < D
-    (`_count_head`): there c > a, so each has weight 1, and their number
-    is multiplicative in a.  Only the a in [sqrt(D)/2, sqrt(D/3)], about
-    13% of them, have their forms listed (`_forms`): only there can c = a
-    hold and the weights 1/2 and 1/3 apply.  Cost: O(sqrt(D)) steps for
-    the count, one multiply per odd a, plus the listing of the tail:
-    about 1, 3 and 9 ms at D = 2.8e6, 2.8e7 and 2.8e8 on one core of a
-    2-vCPU VM (Python 3.11), where listing every form takes 3.5, 13 and
-    35 ms.
+    The forms are counted, never listed.  For every a with 4a^2 < D
+    (`_count_head`) c > a, so each has weight 1, and their number is
+    multiplicative in a and read off in closed form at each prime power;
+    no root is listed.  Only the a in [sqrt(D)/2, sqrt(D/3)], about 13%
+    of them, have their roots mod 4a listed (`_roots_mod_4a`), and those
+    with c > a counted: only there can c = a hold and the weights 1/2 and
+    1/3 apply.  Cost: O(sqrt(D)) steps for the head, one multiply per odd
+    a, plus the roots of the tail: about 0.5, 1.6 and 4.8 ms at D = 2.8e6,
+    2.8e7 and 2.8e8 on one core of a 2-vCPU VM (Python 3.11, median of 15
+    runs), where listing every form takes 2.7, 10 and 30 ms.
 
     D is checked on every call; the count itself (`_hurwitz`) is
     memoised for the last 4096 distinct D.  `verify` at its default
@@ -298,6 +370,16 @@ def _legendre_signs(p: int) -> bytearray:
     return signs
 
 
+def _two_part_tables(d2: int) -> tuple[bytes, bytes]:
+    values = [kronecker(d2, r) if r else 0 for r in range(abs(d2))]
+    return bytes(v < 0 for v in values), bytes(v == 0 for v in values)
+
+
+# The character of each 2-part d2 of a fundamental discriminant, over its
+# period |d2|, in the form `_character_tables` gives.
+_TWO_PART_TABLES = {d2: _two_part_tables(d2) for d2 in (-4, 8, -8)}
+
+
 def _character_tables(D: int) -> list[tuple[bytes, bytes]]:
     """chi_{-D} for fundamental -D as coprime periodic factors, each given
     over one period as (sign bytes, zero bytes): 1 where the factor is -1,
@@ -305,15 +387,14 @@ def _character_tables(D: int) -> list[tuple[bytes, bytes]]:
 
     -D is the product of p* = (-1)^((p-1)/2) p over the odd primes p | D,
     whose characters are the Legendre symbols (m/p), and of d2 = 1, -4 or
-    +-8; the character of d2 has period |d2| and is read off `kronecker`
-    at its residues.  Every period divides D.
+    +-8, whose character has period |d2| and is read from
+    `_TWO_PART_TABLES`.  Every period divides D.
     """
     odd = [p for p, _ in factorize(D) if p != 2]
     tables = [(_legendre_signs(p), b"\x01" + bytes(p - 1)) for p in odd]
     d2 = -D // prod(p if p % 4 == 1 else -p for p in odd)
     if d2 != 1:
-        values = [0] + [kronecker(d2, r) for r in range(1, abs(d2))]
-        tables.append((bytes(v < 0 for v in values), bytes(v == 0 for v in values)))
+        tables.append(_TWO_PART_TABLES[d2])
     return tables
 
 
@@ -353,15 +434,16 @@ def _half_character_sum(D: int) -> int:
     return total
 
 
-def dirichlet_hurwitz(D: int) -> Fraction:
+def dirichlet_hurwitz(D: int) -> int | Fraction:
     """H(-D) = S / (2 - chi(2)) for fundamental -D, with S the sum of
     chi_{-D}(m) over the half period 0 <= m < D/2 (`_half_character_sum`).
 
     The unit count cancels, so this holds as it stands at D = 3 and
-    D = 4, where H is 1/3 and 1/2.  For D > 4, H(-D) = h(-D) is an
-    integer, so S must be a multiple of 2 - chi(2): InexactCount is
-    raised, naming D, if it is not.  Cost: O(D) byte operations,
-    dominated at prime D by the O(D) Legendre table; on one core of a
+    D = 4, where H is the Fraction 1/3 and 1/2.  For D > 4, H(-D) = h(-D)
+    is an integer, returned as an int, so S must be a multiple of
+    2 - chi(2): InexactCount is raised, naming D, if it is not.  Cost:
+    O(D) byte operations, dominated at prime D by the O(D) Legendre
+    table; on one core of a
     2-vCPU VM (Python 3.11, medians) 6-8 ms at D = 100003, 70-100 ms at
     D = 1000003 and 0.17-0.23 s at D = 28000084.
     """
@@ -372,10 +454,10 @@ def dirichlet_hurwitz(D: int) -> Fraction:
     if D > 4 and S % divisor:
         raise InexactCount(f"half character sum at D={D} gives S = {S}, "
                            f"not a multiple of 2 - chi(2) = {divisor}")
-    return Fraction(S, divisor)
+    return S // divisor if D > 4 else Fraction(S, divisor)
 
 
-def hurwitz_scaled(D: int, f: int) -> Fraction:
+def hurwitz_scaled(D: int, f: int) -> int | Fraction:
     """H(-D f^2) from data at the fundamental level -D:
 
         H(-D) * sum_{d | f} mu(d) chi_{-D}(d) sigma1(f/d)
@@ -384,10 +466,18 @@ def hurwitz_scaled(D: int, f: int) -> Fraction:
     and w = u/2 half the number of units; at fundamental -D every reduced
     form is primitive and `hurwitz` weighs the one class at D = 4 by 1/2
     and at D = 3 by 1/3, so h(-D)/w is exactly `hurwitz(D)`.
+
+    The sum is a Dirichlet convolution of multiplicative functions, so it
+    is the product over p^k || f of sigma1(p^k) - chi_{-D}(p) sigma1(p^(k-1)),
+    read from one factorization of f, with sigma1(p^(k-1)) =
+    sigma1(p^k) - p^k.
     """
     if f < 1:
         raise ValueError(f"need a positive scaling factor, got {f}")
     if D <= 0 or not is_fundamental(-D):
         raise HypothesisViolation(f"-{D} is not a fundamental discriminant")
-    total = sum(mobius(d) * kronecker(-D, d) * sigma1(f // d) for d in divisors(f))
+    total = 1
+    for p, k in factorize(f):
+        sigma = (p ** (k + 1) - 1) // (p - 1)
+        total *= sigma - kronecker(-D, p) * (sigma - p**k)
     return hurwitz(D) * total

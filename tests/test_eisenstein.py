@@ -268,6 +268,20 @@ def test_class_number_routes_return_int():
     assert type(sc7_scaled(11, 15)) is int
 
 
+def test_count_from_H_is_exact_integer_division():
+    # H / 2^(epsilon+1) in int arithmetic: an int count or InexactCount,
+    # never a float, for n = 1 mod 4 (divisor 4) and n = 3 mod 8 (2)
+    quarter, half = discriminant_of(9), discriminant_of(11)
+    with pytest.raises(InexactCount, match="gives 3/2"):
+        eisenstein._count_from_H(quarter, 6, "H = 6 at n = 9")
+    with pytest.raises(InexactCount, match="gives 3/2"):
+        eisenstein._count_from_H(half, 3, "H = 3 at n = 11")
+    for H in range(0, 200, 4):
+        for d in (quarter, half):
+            count = eisenstein._count_from_H(d, H, "")
+            assert type(count) is int and count == H // 2 ** (d.epsilon + 1)
+
+
 def test_class_number_routes_reject_inexact_counts(monkeypatch):
     # each route raises, not returns, a count that is non-integral or negative
     monkeypatch.setattr(eisenstein, "hurwitz", lambda D: Fraction(1, 3))
@@ -286,8 +300,8 @@ def test_class_number_routes_reject_inexact_counts(monkeypatch):
         sc7_from_character_sum(9)
     monkeypatch.undo()
 
-    # sigma1(m) -> -m turns the scaling factor negative
-    monkeypatch.setattr(quadforms, "sigma1", lambda m: -m)
+    # chi(p) -> 5 turns the scaling factor sigma1(3) - 5 sigma1(1) negative
+    monkeypatch.setattr(quadforms, "kronecker", lambda D, m: 5)
     with pytest.raises(InexactCount):
         sc7_scaled(11, 3)
 

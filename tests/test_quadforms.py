@@ -6,10 +6,24 @@ from math import isqrt
 import pytest
 
 from sc7core import quadforms
-from sc7core.arith import HypothesisViolation, InexactCount, divisors, is_fundamental, kronecker_row
+from sc7core.arith import (
+    HypothesisViolation,
+    InexactCount,
+    divisors,
+    is_fundamental,
+    kronecker,
+    kronecker_row,
+    mobius,
+    sigma1,
+    smallest_prime_factors,
+)
+from sc7core.eisenstein import theorem_discriminant
 from sc7core.quadforms import (
     BinaryQF,
     _character_tables,
+    _count_head,
+    _odd_root_counts,
+    _root_count,
     _roots_mod_prime_power,
     _sqrt_mod_prime,
     dirichlet_hurwitz,
@@ -126,6 +140,76 @@ def test_hurwitz_memo_matches_weighted_forms_cold_and_warm():
         assert hurwitz(D) == H, D
     info = quadforms._hurwitz.cache_info()
     assert (info.misses, info.hits) == (len(expected), len(expected))
+
+
+def test_root_count_matches_a_scan():
+    # N(p^k) = #{x mod p^k : x^2 = -D mod p^k} in closed form, against
+    # counting the squares mod p^k: every branch of p = 2 and of odd p,
+    # dividing D or not, to any power
+    for p in (2, 3, 5, 7):
+        for k in range(1, 7):
+            q = p**k
+            squares = [0] * q
+            for x in range(q):
+                squares[x * x % q] += 1
+            for D in range(3, 800):
+                if D % 4 in (0, 3):
+                    assert _root_count(D, p, k) == squares[-D % q], (D, p, k)
+
+
+def _ref_count_head(D, head, spf, roots):
+    """The count that `_count_head` replaced, with N(p^k) for p = 2 and
+    for p | D the length of the lifted root list; a test oracle only."""
+    n_odd = [0] * (head + 2)  # N(a') at odd a'
+    n_odd[1] = 1
+    for m in range(3, head + 1, 2):
+        p = spf[m]
+        r = m // p
+        if D % p == 0:  # N(p^k) from the lifted roots
+            q = p
+            while r % p == 0:
+                r //= p
+                q *= p
+            n_odd[m] = n_odd[r] * len(_roots_mod_prime_power(D, p, q, roots))
+        elif r % p == 0:  # N(p^k) = N(p)
+            n_odd[m] = n_odd[r]
+        elif r > 1:
+            n_odd[m] = n_odd[r] * n_odd[p]
+        else:  # m = p is prime
+            n_odd[m] = 2 if pow(-D % p, (p - 1) // 2, p) == 1 else 0
+    count = 0
+    for v in range(head.bit_length()):
+        rho2 = len(_roots_mod_prime_power(D, 2, 4 << v, roots)) // 2
+        count += rho2 * sum(n_odd[1:(head >> v) + 1:2])
+    return count
+
+
+def test_count_head_matches_lifted_roots():
+    # every discriminant D <= 5000 and every theorem D_n with n <= 2000
+    theorem_D = [theorem_discriminant(n).D for n in range(1, 2001, 2) if n % 7 != 5]
+    for D in [D for D in range(3, 5001) if D % 4 in (0, 3)] + theorem_D:
+        head = isqrt(D - 1) // 2
+        spf = smallest_prime_factors(isqrt(D // 3))
+        new = _count_head(D, head, _odd_root_counts(D, spf))
+        assert new == _ref_count_head(D, head, spf, {1: [0]}), D
+
+
+def test_hurwitz_is_an_int_except_at_3k2_and_4k2():
+    # the weights 1/2 and 1/3 fall only on (k, 0, k) and (k, k, k)
+    special = {c * k * k for c in (3, 4) for k in range(1, 40)}
+    for D in range(3, 3001):
+        if D % 4 in (0, 3):
+            H = hurwitz(D)
+            assert (type(H) is int) == (D not in special), D
+            if D in special:
+                assert type(H) is Fraction and H.denominator in (2, 3), D
+
+
+def test_dirichlet_hurwitz_is_an_int_above_4():
+    assert type(dirichlet_hurwitz(3)) is type(dirichlet_hurwitz(4)) is Fraction
+    for D in range(5, 3001):
+        if is_fundamental(-D):
+            assert type(dirichlet_hurwitz(D)) is int, D
 
 
 def test_lifted_roots_match_a_scan():
@@ -407,6 +491,19 @@ def test_hurwitz_scaled_matches_direct():
     for D in (3, 4, 7, 8, 84, 91):
         for f in range(1, 10):
             assert hurwitz_scaled(D, f) == hurwitz(D * f * f)
+
+
+def _ref_scaling_sum(D, f):
+    """sum_{d | f} mu(d) chi_{-D}(d) sigma1(f/d), over the divisors one
+    by one; a test oracle only."""
+    return sum(mobius(d) * kronecker(-D, d) * sigma1(f // d) for d in divisors(f))
+
+
+def test_hurwitz_scaled_matches_the_divisor_sum():
+    for D in range(3, 301):
+        if is_fundamental(-D):
+            for f in range(1, 201):
+                assert hurwitz_scaled(D, f) == hurwitz(D) * _ref_scaling_sum(D, f), (D, f)
 
 
 def test_hurwitz_scaled_rejects():
