@@ -389,8 +389,18 @@ def _character_tables(D: int) -> list[tuple[bytes, bytes]]:
     whose characters are the Legendre symbols (m/p), and of d2 = 1, -4 or
     +-8, whose character has period |d2| and is read from
     `_TWO_PART_TABLES`.  Every period divides D.
+
+    One factorization of D gives the odd primes and decides that -D is
+    fundamental: with D = 2^v u, u odd and squarefree, either v = 0 and
+    u = 3 mod 4 (-D = 1 mod 4), or v = 2 and u = 1 mod 4 (-D/4 = 3 mod 4),
+    or v = 3 (-D/4 = 2 mod 4).  Raises HypothesisViolation otherwise.
     """
-    odd = [p for p, _ in factorize(D) if p != 2]
+    factors = dict(factorize(D)) if D > 0 else {}
+    v = factors.pop(2, 0)
+    if (D <= 0 or any(k > 1 for k in factors.values())
+            or not (v == 3 or (v, (D >> v) % 4) in ((0, 3), (2, 1)))):
+        raise HypothesisViolation(f"-{D} is not a fundamental discriminant")
+    odd = list(factors)
     tables = [(_legendre_signs(p), b"\x01" + bytes(p - 1)) for p in odd]
     d2 = -D // prod(p if p % 4 == 1 else -p for p in odd)
     if d2 != 1:
@@ -445,10 +455,10 @@ def dirichlet_hurwitz(D: int) -> int | Fraction:
     O(D) byte operations, dominated at prime D by the O(D) Legendre
     table; on one core of a
     2-vCPU VM (Python 3.11, medians) 6-8 ms at D = 100003, 70-100 ms at
-    D = 1000003 and 0.17-0.23 s at D = 28000084.
+    D = 1000003 and 0.17-0.23 s at D = 28000084.  Raises
+    HypothesisViolation unless -D is fundamental, from the one
+    factorization of D in `_character_tables`, before any sum is built.
     """
-    if D <= 0 or not is_fundamental(-D):
-        raise HypothesisViolation(f"-{D} is not a fundamental discriminant")
     S = _half_character_sum(D)
     divisor = 2 - kronecker(-D, 2)
     if D > 4 and S % divisor:

@@ -14,10 +14,12 @@ Q <= m gives G z^2 + (2A y + E z)^2 <= 16aAm: one isqrt bounds |z|, one
 more per z bounds y (`TernaryQF._box`).  For the first decomposition form
 this is the familiar |z| <= sqrt(4m/7).
 
-Neither kernel loops over x:
+Neither kernel loops over x, and both walk the (y, z) box in lines:
 
-- `rep_count(Q, m)` solves a x^2 + B x + (C - m) = 0 for integer x with
-  one isqrt per (y, z): O(m) steps.
+- `rep_count(Q, m)` solves a x^2 + B x + (C - m) = 0 for integer x on
+  half the box (Q(-v) = Q(v)), testing the discriminants of each line
+  of fixed z for squares in one C-level pass: O(m) C-level steps, and
+  Python steps only per line and per square, O(sqrt(m)) of each.
 - `theta_coeffs(Q, N)` walks the (y, z) box in lines of fixed z and
   fixed y mod h, along which the residue r of B mod 2a is fixed and the
   lowest value of Q over x is a quadratic in y.  Each line is one
@@ -32,8 +34,10 @@ which drift between runs), the three decomposition forms cost about
 0.001-0.002 s for `theta_coeffs` at N = 4000, 0.003-0.005 s at
 N = 10000 and 0.09-0.15 s at N = 10^5, where the shifted adds lead
 (with one Python step per (y, z): 0.001-0.004, 0.006-0.009 and
-0.10-0.28 s), and 0.003-0.004 s for `rep_count` at m = 1500, 0.03-0.05 s at
-m = 20003 and 0.16-0.24 s at m = 100003.
+0.10-0.28 s), and together 0.001 s for `rep_count` at m = 1500,
+0.010-0.011 s at m = 20003 and 0.05 s at m = 100003 (over the whole box
+with one Python step and one isqrt per (y, z): 0.003-0.004, 0.03-0.05
+and 0.16-0.24 s).
 """
 
 from __future__ import annotations
@@ -42,9 +46,9 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import accumulate, chain, repeat
+from itertools import accumulate, chain, compress, repeat
 from math import gcd, isqrt, lcm
-from operator import add, mod, mul
+from operator import add, eq, mod, mul
 
 from .arith import InexactCount
 from .qseries import QSeries, _mul_packed, _pack, _packed_width, _unpack, _x_terms
@@ -98,36 +102,65 @@ class TernaryQF:
 def rep_count(Q: TernaryQF, m: int) -> int:
     """Number of integer triples with Q(x,y,z) = m.
 
-    Scans (y, z) over the box of Q._box(m) plus one layer beyond every
-    edge and solves a x^2 + B x + (C - m) = 0 for x in integers:
-    the roots are integral exactly when disc = B^2 - 4a(C - m) is a
-    square s^2 and 2a divides -B +- s.  That is O(m) steps with one isqrt
-    each, and no x loop.  A root on one of the extra y or z layers raises
-    RuntimeError, so the box bounds are verified on every call rather
-    than trusted (also under python -O).
+    At each (y, z), a x^2 + B x + (C - m) = 0 has integer roots exactly
+    when disc = B^2 - 4a(C - m) = 4am - P(y, z) (P as in the module
+    docstring) is a square s^2 and 2a divides -B +- s; there is no x loop.
+
+    Only half the lattice is walked.  Q(-v) = Q(v), and the box of
+    Q._box(m) is centrally symmetric: for |z| <= zmax, y_range(-z) is
+    (-yhi, -ylo) with (ylo, yhi) = y_range(z), since rem and s depend on
+    z^2 alone, so yhi(-z) = (s + E z) // 2A = -ylo(z) and
+    ylo(-z) = -((s - E z) // 2A) = -yhi(z); past zmax both are empty.
+    So each solution with z >= 1, or with z = 0 and y >= 1, stands for
+    two, and one with y = z = 0 for itself.
+
+    At fixed z, disc is a quadratic in y with second difference -2A, so a
+    line is one C-level `accumulate` of its discs, and C-level maps of
+    `isqrt`, `mul` and `eq` with one `compress` hand Python only the y
+    whose disc is a perfect square: O(m) C-level steps, and Python steps
+    per line and per square, O(sqrt(m)) of each.
+
+    The box bounds are verified on every call rather than trusted (also
+    under python -O): the lines are scanned one layer beyond the box, at
+    ylo - 1 and yhi + 1 for z >= 1, at yhi + 1 for z = 0, and over the
+    whole row y_range(zmax + 1) widened by one at z = zmax + 1, and a
+    root there raises RuntimeError.  With the symmetry that covers the
+    layer beyond every edge.  Its discs are negative unless the box is
+    wrong, and a negative disc is no square.
     """
     if m < 0:
         raise ValueError(f"need a non-negative target, got {m}")
     zmax, y_range = Q._box(m)
-    a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
-    count = 0
-    for z in range(-zmax - 1, zmax + 2):
-        ylo, yhi = y_range(z)
-        for y in range(ylo - 1, yhi + 2):
-            B = e * z + f * y
-            disc = B * B - 4 * a * (b * y * y + c * z * z + d * y * z - m)
-            if disc < 0:
-                continue
-            s = isqrt(disc)
-            if s * s != disc:
-                continue
-            for top in {-B - s, -B + s}:  # one root when s = 0
+    a, e, f = Q.a, Q.e, Q.f
+    A, E, F = 4 * a * Q.b - f * f, 4 * a * Q.d - 2 * e * f, 4 * a * Q.c - e * e
+    am4 = 4 * a * m
+
+    def line(z: int, y0: int, y1: int, ylo: int, yhi: int) -> int:
+        """Solutions at z with y0 <= y <= y1, counted twice (once at
+        y = z = 0); RuntimeError for one outside ylo <= y <= yhi."""
+        step = -E * z - A * (2 * y0 + 1)  # disc(y0 + 1) - disc(y0)
+        disc = list(accumulate(range(step, step - 2 * A * (y1 - y0), -2 * A),
+                               initial=am4 - (A * y0 + E * z) * y0 - F * z * z))
+        s = list(map(isqrt, map(abs, disc)))
+        count = 0
+        for y in compress(range(y0, y1 + 1), map(eq, map(mul, s, s), disc)):
+            B, r = e * z + f * y, s[y - y0]
+            for top in {-B - r, -B + r}:  # one root when s = 0
                 if top % (2 * a) == 0:
-                    if not (-zmax <= z <= zmax and ylo <= y <= yhi):
-                        x = top // (2 * a)
-                        raise RuntimeError(f"box bound violated at {(x, y, z)} for {Q} = {m}")
-                    count += 1
-    return count
+                    if not ylo <= y <= yhi:
+                        raise RuntimeError(f"box bound violated at {(top // (2 * a), y, z)} for {Q} = {m}")
+                    count += 1 if y == z == 0 else 2
+        return count
+
+    count = 0
+    if zmax >= 0:
+        _, yhi = y_range(0)
+        count = line(0, 0, yhi + 1, 0, yhi)
+    for z in range(1, zmax + 1):
+        ylo, yhi = y_range(z)
+        count += line(z, ylo - 1, yhi + 1, ylo, yhi)
+    ylo, yhi = y_range(zmax + 1)
+    return count + line(zmax + 1, ylo - 1, yhi + 1, 1, 0)
 
 
 def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:

@@ -486,6 +486,37 @@ def test_dirichlet_rejects_nonfundamental():
         dirichlet_hurwitz(-3)
 
 
+def test_dirichlet_hurwitz_factors_D_once(monkeypatch):
+    # one factorization of D decides fundamentality and gives the odd
+    # primes of the character; it refuses exactly the D with -D not
+    # fundamental, with the same message
+    from sc7core import arith
+
+    calls = []
+    real = arith.factorize
+
+    def counted(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(arith, "factorize", counted)
+    monkeypatch.setattr(quadforms, "factorize", counted)
+    for D in range(1, 3001):
+        fundamental = is_fundamental(-D)
+        calls.clear()
+        if fundamental:
+            dirichlet_hurwitz(D)
+        else:
+            with pytest.raises(HypothesisViolation, match=f"^-{D} is not a fundamental discriminant$"):
+                dirichlet_hurwitz(D)
+        assert calls.count(D) == 1, (D, calls)
+    for D in (0, -3, -4):
+        calls.clear()
+        with pytest.raises(HypothesisViolation, match=f"^-{D} is not a fundamental discriminant$"):
+            dirichlet_hurwitz(D)
+        assert calls == [], D
+
+
 def test_hurwitz_scaled_matches_direct():
     # the scaling identity holds for any f >= 1, even f included
     for D in (3, 4, 7, 8, 84, 91):

@@ -126,6 +126,34 @@ def _ref_theta_coeffs(Q, prec):
     return QSeries(_unpack(total, k, prec))
 
 
+def _ref_box_rep_count(Q, m):
+    """The (y, z) sweep that `rep_count` replaced: the whole box of
+    Q._box(m) plus one layer beyond every edge, one Python step and one
+    isqrt per point, raising RuntimeError for a root on the extra layer."""
+    if m < 0:
+        raise ValueError(f"need a non-negative target, got {m}")
+    zmax, y_range = Q._box(m)
+    a, b, c, d, e, f = Q.a, Q.b, Q.c, Q.d, Q.e, Q.f
+    count = 0
+    for z in range(-zmax - 1, zmax + 2):
+        ylo, yhi = y_range(z)
+        for y in range(ylo - 1, yhi + 2):
+            B = e * z + f * y
+            disc = B * B - 4 * a * (b * y * y + c * z * z + d * y * z - m)
+            if disc < 0:
+                continue
+            s = isqrt(disc)
+            if s * s != disc:
+                continue
+            for top in {-B - s, -B + s}:  # one root when s = 0
+                if top % (2 * a) == 0:
+                    if not (-zmax <= z <= zmax and ylo <= y <= yhi):
+                        x = top // (2 * a)
+                        raise RuntimeError(f"box bound violated at {(x, y, z)} for {Q} = {m}")
+                    count += 1
+    return count
+
+
 # Forms with e, f coprime, so that B = e z + f y meets every residue
 # class mod 2a: between them every residue r in (-a, a] for a = 1..5.
 MIXED_FORMS = (
@@ -199,6 +227,14 @@ def test_rep_count_matches_reference():
             assert rep_count(Q, m) == table[m], (Q, m)
         for m in (*range(12), 97, 199):
             assert rep_count(Q, m) == _ref_rep_count(Q, m), (Q, m)
+
+
+def test_rep_count_matches_the_box_sweep():
+    rng = random.Random(29)
+    forms = DECOMPOSITION_FORMS + MIXED_FORMS + SWEEP_FORMS + tuple(_random_forms(29, 20))
+    for Q in forms:
+        for m in (*range(300), *(rng.randrange(300, 5001) for _ in range(20))):
+            assert rep_count(Q, m) == _ref_box_rep_count(Q, m), (Q, m)
 
 
 def test_decomposition_constants():
@@ -329,6 +365,20 @@ def test_box_is_the_completed_squares_box():
                 assert y_range(z) == _interval(l23 * z, d2, m - d3 * z * z), (Q, m, z)
 
 
+def test_box_is_centrally_symmetric():
+    # rep_count walks z >= 0 only: y_range(-z) is (-yhi, -ylo) inside the
+    # box, and past zmax both ranges are empty.
+    for Q in DECOMPOSITION_FORMS + MIXED_FORMS:
+        for m in (*range(40), 97, 401, 1502, 20003):
+            zmax, y_range = Q._box(m)
+            for z in range(-zmax - 2, zmax + 3):
+                if abs(z) <= zmax:
+                    ylo, yhi = y_range(z)
+                    assert y_range(-z) == (-yhi, -ylo), (Q, m, z)
+                else:
+                    assert y_range(z) == y_range(-z) == (0, -1), (Q, m, z)
+
+
 def test_positive_definite_matches_ldl():
     forms = [TernaryQF(a, b, c, d, e, f)
              for a in range(-1, 3) for b in range(-1, 3) for c in range(-1, 3)
@@ -391,3 +441,27 @@ def test_box_bound_check_covers_each_layer(monkeypatch, layer):
     monkeypatch.setattr(TernaryQF, "_box", _narrowed(TernaryQF._box, layer))
     with pytest.raises(RuntimeError, match="box bound violated at"):
         rep_count(Q1, 11)
+
+
+@pytest.mark.parametrize("layers", [(1,), (2,), (1, 2)])
+def test_box_bound_check_raises_where_the_box_sweep_raises(monkeypatch, layers):
+    # With the box narrowed in y, in z or in both, the half-lattice scan
+    # of the extra layer raises at exactly the (Q, m) where the whole-box
+    # sweep raises, and elsewhere the two counts still agree; both
+    # outcomes occur.
+    box = TernaryQF._box
+    for layer in layers:
+        box = _narrowed(box, layer)
+    monkeypatch.setattr(TernaryQF, "_box", box)
+    cases = [(Q, m) for Q in DECOMPOSITION_FORMS + MIXED_FORMS for m in range(400)]
+    raised = 0
+    for Q, m in cases:
+        try:
+            expected = _ref_box_rep_count(Q, m)
+        except RuntimeError:
+            raised += 1
+            with pytest.raises(RuntimeError, match="box bound violated at"):
+                rep_count(Q, m)
+        else:
+            assert rep_count(Q, m) == expected, (Q, m)
+    assert 0 < raised < len(cases)
