@@ -162,6 +162,14 @@ def theta_from_eisenstein(i: int, m: int,
     raise ValueError(f"theta index must be 1, 2 or 3, got {i}")
 
 
+# The case table of `closed_rep_count`, form i -> its factors of H by column.
+_CLOSED_R_TABLE = {
+    1: (Fraction(2), Fraction(8), Fraction(4)),
+    2: (Fraction(0), Fraction(2), Fraction(2)),
+    3: (Fraction(3, 2), Fraction(3), Fraction(0)),
+}
+
+
 def closed_rep_count(i: int, m: int) -> Fraction:
     """Closed form for the i-th decomposition form's representation number
     at odd m coprime to 7, from the case tables (n := m - 2, H :=
@@ -181,12 +189,7 @@ def closed_rep_count(i: int, m: int) -> Fraction:
     H = hurwitz(_lift(7 * m))
     n = m - 2
     col = 0 if n % 4 == 1 else (1 if n % 8 == 3 else 2)
-    table = {
-        1: (Fraction(2), Fraction(8), Fraction(4)),
-        2: (Fraction(0), Fraction(2), Fraction(2)),
-        3: (Fraction(3, 2), Fraction(3), Fraction(0)),
-    }
-    return table[i][col] * H
+    return _CLOSED_R_TABLE[i][col] * H
 
 
 class Discriminant(NamedTuple):

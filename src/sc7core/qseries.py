@@ -4,17 +4,21 @@ A QSeries knows its coefficients for exponents 0..precision-1; exponents
 at or beyond the precision are unknown, never implicitly zero.
 Coefficients are exact integers, stored as given.
 
-The two series builders here never leave the integers, and both work on
-packed integers, a fixed-width binary slot per coefficient (see
-`_packed_width`), with no Python step per coefficient:
+The series builders here, and `ternary.theta_coeffs`, never leave the
+integers, and all multiply on one kernel of packed integers, a
+fixed-width binary slot per coefficient (`_packed_width`), with no
+Python step per coefficient.  `_product` gives sum_i row_i * prod
+factors_i below q^n for dense rows and sparse factors: each row packed
+once, one C-level shifted add of O(n) machine words per term of each
+factor (`_packed`), one read-back.  Its slots are sized by `_bound`,
+the one proved bound on the coefficients of such a product, which the
+eta quotient's own widths use too.
 
 - `sc_series` multiplies (t-1)/2 theta series sum_x q^(t x^2 - 2 j x)
   (Jacobi's triple product): the first two as one dense row that counts
-  the pair sums of their exponents (`_pair_row`), each later one by one
-  C-level shifted add of O(N) machine words per term on the packed row.
-  Its slots are sized from the row: max(row) times the term counts of
-  the later factors, proved in its docstring.  Cost for fixed t: O(N)
-  for the row, O(N^1.5) word operations for the shifted adds.
+  the pair sums of their exponents (`_pair_row`), times the later ones
+  in one `_product`.  Cost for fixed t: O(N) for the row, O(N^1.5) word
+  operations for the shifted adds.
 - `eta_quotient_series` pairs each eta(2s tau)^2 / eta(s tau) of the
   quotient into one row of Gauss's psi(q^s) = sum_n q^(s n(n+1)/2),
   about sqrt(2N/s) terms below N, and expands every other eta factor by
@@ -23,7 +27,7 @@ packed integers, a fixed-width binary slot per coefficient (see
   numerator factors as one counted dense row, the rest of the numerator
   and the denominator each by one shifted add per term, the division as
   one multiply by the denominator's inverse modulo a power of 2, and an
-  exact check of the result, whose width comes from the row's maximum.
+  exact check of the result, with every width from `_bound`.
   The shifted adds cost O(N^1.5) word operations and the products about
   O(N^1.58).  It stays the independent check of `sc_series`, though the
   two share Jacobi's triple product (psi is a case of it).
@@ -49,7 +53,7 @@ from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, count, product, repeat, takewhile
+from itertools import accumulate, count, repeat, takewhile
 from math import comb, prod
 from operator import sub
 
@@ -97,7 +101,7 @@ class QSeries:
         return f"QSeries([{head}{tail}], precision={len(self._coeffs)})"
 
 
-# Sparse series and in-place kernels on dense coefficient lists.
+# Sparse series, and the dense row of a pair of them.
 
 def _x_terms(a: int, r: int, prec: int) -> dict:
     """{exponent: multiplicity} of sum over integers x of q^(a x^2 + r x),
@@ -248,6 +252,47 @@ def _mul_packed(x: int, terms, k: int, n: int) -> int:
     return sum(m * sum(x << bits * e for e in es) for m, es in by_m.items()) & ((1 << bits * n) - 1)
 
 
+def _packed(x: int, factors, k: int, n: int) -> int:
+    """The packed x times every sparse factor, each given by its terms
+    (e, m): one shifted add per term (`_mul_packed`), congruent to the
+    product mod 2^(8kn)."""
+    for terms in factors:
+        x = _mul_packed(x, terms, k, n)
+    return x
+
+
+def _bound(pairs) -> int:
+    """sum_i max|row_i| * prod_(F in factors_i) sum |m| over F's terms:
+    a bound on every |coefficient| of sum_i row_i * prod factors_i, for
+    pairs (row_i, factors_i) of a coefficient list and sparse factors
+    given by terms (e, m), as `_product` takes them.
+
+    Proof.  The coefficient of q^e in X * F is the sum over F's terms
+    (f, m) of m X_(e-f), at most sum |m| * max|X| in absolute value, so a
+    product by F raises the largest |coefficient| at most (sum |m|)-fold,
+    and cutting below q^n only drops coefficients.  By induction over
+    factors_i, every |coefficient| of row_i * prod factors_i is at most
+    max|row_i| * prod sum |m|, and by the triangle inequality every one
+    of the sum over i is at most the sum of those bounds.  So slots of
+    `_packed_width(_bound(pairs))` bytes read every coefficient back.
+
+    max|row_i| is taken over the set of the row's values: the rows here
+    hold few distinct values, and hashing them is cheaper than an abs
+    per entry.
+    """
+    return sum(max(map(abs, set(row))) * prod(sum(abs(m) for _, m in f) for f in factors) for row, factors in pairs)
+
+
+def _product(pairs, n: int) -> list:
+    """The coefficients below q^n of sum_i row_i * prod factors_i, for a
+    list of pairs (row_i, factors_i) as in `_bound`: each row is packed
+    once in slots of `_packed_width(_bound(pairs))` bytes, multiplied by
+    its factors with one shifted add per term (`_packed`), and the
+    packed products are summed and read back once."""
+    k = _packed_width(_bound(pairs))
+    return _unpack(sum(_packed(_pack(row, k), factors, k, n) for row, factors in pairs), k, n)
+
+
 def _inverse_2adic(a: int, bits: int) -> int:
     """y in [0, 2^bits) with a*y = 1 mod 2^bits, for odd a.
 
@@ -313,20 +358,15 @@ def sc_series(t: int, prec: int) -> QSeries:
     = t y^2 - 2 j y with x != y needs t (x + y) = 2 j, which no integer
     x + y solves as 0 < 2 j < t.  So the first two factors (those present)
     multiply as one dense row that counts the pair sums of their
-    exponents below q^prec (`_pair_row`).  The row is packed into slots of
-    k bytes (`_pack`), each later factor F_i is one shifted add per term
-    on the packed integer (`_mul_packed`), and the slots are read back
-    once (`_unpack`).
+    exponents below q^prec (`_pair_row`), and the row times the later
+    factors F_i is one `_product`: the row packed once, one shifted add
+    per term of each F_i, one read-back.
 
-    The width k is `_packed_width(max(row) * prod_i len(F_i))`.  Proof
-    that every coefficient of the product is at most that bound: as F_i
-    has multiplicity 1 at each exponent, each coefficient of X * F_i is a
-    sum of at most len(F_i) coefficients of X, so multiplying by F_i
-    raises the largest coefficient at most len(F_i)-fold.  No coefficient
-    is negative, so `_packed_width`'s proof reads every one back.  The
-    row is known before it is packed, so the bound costs one C-level
-    `max`.  At t = 7 it is 2868 at prec 10^5 + 1 and 31440 at 3*10^6, so
-    the slots are 2 bytes up to a little above 3*10^6.
+    Its slots hold `_bound`'s max(row) * prod_i len(F_i), each F_i having
+    multiplicity 1 at every exponent.  The row is known before it is
+    packed, so the bound costs one C-level pass.  At t = 7 it is 2868 at
+    prec 10^5 + 1 and 31440 at 3*10^6, so the slots are 2 bytes up to a
+    little above 3*10^6.
 
     Cost: s - 2 factors of about 2 sqrt(prec/t) terms each, one shifted
     add of O(prec) machine words per term, O(sqrt(t) prec^1.5) word
@@ -352,12 +392,7 @@ def sc_series(t: int, prec: int) -> QSeries:
     if prec < 1:
         raise ValueError("precision must be positive")
     factors = [_x_terms(t, -2 * j, prec).items() for j in range(1, (t + 1) // 2)]
-    row, later = _pair_row(factors[:2], prec), factors[2:]
-    k = _packed_width(max(row) * prod(map(len, later)))
-    x = _pack(row, k)
-    for terms in later:
-        x = _mul_packed(x, terms, k, prec)
-    return QSeries(_unpack(x, k, prec))
+    return QSeries(_product([(_pair_row(factors[:2], prec), factors[2:])], prec))
 
 
 @dataclass(frozen=True)
@@ -415,7 +450,7 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     The two longest numerator factors form one counted dense row
     (`_pair_row`); num is the packed row times the other numerator
     factors, and den the packed 1 times the denominator units, each by
-    one shifted add per term (`_mul_packed`).  den is 1 mod 2^(8k), so
+    one shifted add per term (`_packed`).  den is 1 mod 2^(8k), so
     odd, and so invertible mod 2^(8kN) (`_inverse_2adic`); one multiply
     gives the packed quotient, whose slots are read back once.  The
     intermediates need not fit in a slot: the arithmetic is exact modulo
@@ -427,14 +462,12 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     (2 bytes for SC7), the read-back c is checked by c * den == num in
     Z[q]/(q^N): c is packed again and multiplied by the denominator units
     with the same shifted adds, at a width (k or more) where both sides
-    read back.  Every factor has terms of size 1 at distinct exponents,
-    so multiplying by a factor f raises the largest coefficient at most
-    len(f)-fold: |num_e| <= max|row| * prod len(f) over the numerator
-    factors outside the row, and |(c * den)_e| <= max|c| * prod len(u)
-    over the denominator units.  Only if the wider of the two needs more
-    than k bytes is num packed a second time.  A narrow read-back of num
-    cannot stand in for that bound: an overflowing slot reads back as a
-    wrong value that still lies in range (`_packed_width`'s proof).  Two
+    read back: that of the larger of `_bound`'s bounds on num (the row
+    times the numerator factors outside it) and on c * den.  Only if it
+    is more than k bytes is num packed a second time.  A narrow
+    read-back of num cannot stand in for that bound: an overflowing slot
+    reads back as a wrong value that still lies in range
+    (`_packed_width`'s proof).  Two
     integer vectors in range pack to the same residue only if they are
     equal, so the check is exact, and as den is a unit it passes iff c
     is the quotient.  It uses neither den's packed inverse nor the
@@ -443,9 +476,9 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
 
     The loop stops: p(n) <= 2^n bounds the coefficients of 1/(q;q)_inf,
     so with r denominator units every coefficient of 1/den below q^N is
-    at most C(N - 1 + r, r) 2^(N-1), and every |c_e| at most
-    prod len(f) over all numerator factors times that.  The width of
-    that bound is the last one tried (k grows as min(2k, last)); a failed
+    at most C(N - 1 + r, r) 2^(N-1), and every |c_e| at most that times
+    `_bound` of 1 times all the numerator factors.  The width of that
+    bound is the last one tried (k grows as min(2k, last)); a failed
     check there is a fault, raised as RuntimeError.  The SC7 quotient
     passes at k = 2; its check runs at 2 bytes up to prec 34742 and at 4
     bytes beyond, where max|c| * len(den) passes 2^15.
@@ -476,23 +509,16 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
             (num if exponent > 0 else den).extend([[(0, 1)] + _euler_terms(scale, body)] * abs(exponent))
     num.sort(key=len, reverse=True)
     row, rest = _pair_row(num[:2], body), num[2:]
-    row_max = max(map(abs, row))
-    num_bound, den_bound = row_max * prod(map(len, rest)), prod(map(len, den))
-    last = _packed_width((prod(map(len, num)) * comb(body - 1 + len(den), len(den))) << (body - 1))
-
-    def packed(factors, k, x=1):
-        for terms in factors:
-            x = _mul_packed(x, terms, k, body)
-        return x
-
-    k = _packed_width(row_max)
+    num_bound = _bound([(row, rest)])
+    last = _packed_width((_bound([([1], num)]) * comb(body - 1 + len(den), len(den))) << (body - 1))
+    k = _packed_width(_bound([(row, [])]))
     while True:
-        a = packed(rest, k, _pack(row, k))
-        c = _unpack(a * _inverse_2adic(packed(den, k), 8 * k * body), k, body)
-        check = max(k, _packed_width(max(num_bound, max(map(abs, c)) * den_bound)))
+        a = _packed(_pack(row, k), rest, k, body)
+        c = _unpack(a * _inverse_2adic(_packed(1, den, k, body), 8 * k * body), k, body)
+        check = max(k, _packed_width(max(num_bound, _bound([(c, den)]))))
         if check > k:
-            a = packed(rest, check, _pack(row, check))
-        if (packed(den, check, _pack(c, check)) - a) & ((1 << 8 * check * body) - 1) == 0:
+            a = _packed(_pack(row, check), rest, check, body)
+        if (_packed(_pack(c, check), den, check, body) - a) & ((1 << 8 * check * body) - 1) == 0:
             return QSeries([0] * shift + c)
         if k == last:
             raise RuntimeError(f"eta quotient {spec.factors} failed its exact check at the proved width of {k} bytes")

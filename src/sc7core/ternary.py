@@ -25,8 +25,8 @@ Neither kernel loops over x, and both walk the (y, z) box in lines:
   lowest value of Q over x is a quadratic in y.  Each line is one
   C-level `itertools.accumulate`, O(sqrt(N)) Python steps for the O(N)
   points of the box.  Then it multiplies each residue row by the
-  sparse series sum_x q^(a x^2 + r x): O(sqrt(N/a)) shifted adds per
-  row on one packed integer (`qseries._mul_packed`), each C-level.
+  sparse series sum_x q^(a x^2 + r x), all rows in one
+  `qseries._product`: O(sqrt(N/a)) C-level shifted adds per row.
 
 Both replace a sweep over every lattice point of the box, O(N^1.5)
 steps.  On one core of a 2-vCPU VM (Python 3.11.7, best of 15 runs,
@@ -51,7 +51,7 @@ from math import gcd, isqrt, lcm
 from operator import add, eq, mod, mul
 
 from .arith import InexactCount
-from .qseries import QSeries, _mul_packed, _pack, _packed_width, _unpack, _x_terms
+from .qseries import QSeries, _product, _x_terms
 
 
 @dataclass(frozen=True)
@@ -181,13 +181,11 @@ def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:
     docstring), so its differences step by 2 alpha.  Each line is one
     `accumulate` over a `range`, and one `Counter` per r counts all its
     lines; the box has O(sqrt(N)) lines of O(sqrt(N)) points, and no
-    Python step runs per point.  Each row is
-    packed once (`qseries._pack`) and each term of T_r is one shifted add
-    on the packed row, all summed into one packed integer, so no Python
-    step runs per coefficient either.  Every coefficient of the sum is at
-    most sum_r (sum of T_r's multiplicities) * max(P_r), all terms >= 0,
-    and that bound sets the slot width.  At most 2a residues r occur; the
-    three decomposition forms need one, one and two rows.
+    Python step runs per point.  The sum over r is one
+    `qseries._product`: each row packed once, one shifted add per term
+    of T_r, one read-back, in slots sized by `qseries._bound`, so no
+    Python step runs per coefficient either.  At most 2a residues r
+    occur; the three decomposition forms need one, one and two rows.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
@@ -208,14 +206,11 @@ def theta_coeffs(Q: TernaryQF, prec: int) -> QSeries:
             step = h * (2 * b * y + d * z) - kappa * B + alpha  # C'(y + h) - C'(y)
             last = step + 2 * alpha * ((yhi - y) // h)  # one past the last step
             lines[r].append(accumulate(range(step, last, 2 * alpha), initial=low))
-    rows = {}
+    pairs = []
     for r, rs in lines.items():
         cnt = Counter(chain.from_iterable(rs))
-        rows[r] = list(map(cnt.get, range(prec), repeat(0)))
-    terms = {r: _x_terms(a, r, prec) for r in rows}
-    k = _packed_width(sum(sum(terms[r].values()) * max(row) for r, row in rows.items()))
-    total = sum(_mul_packed(_pack(row, k), terms[r].items(), k, prec) for r, row in rows.items())
-    return QSeries(_unpack(total, k, prec))
+        pairs.append((list(map(cnt.get, range(prec), repeat(0))), [_x_terms(a, r, prec).items()]))
+    return QSeries(_product(pairs, prec))
 
 
 # The three forms whose theta series decompose the shifted sc7 generating

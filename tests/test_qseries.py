@@ -16,11 +16,13 @@ from sc7core.qseries import (
     SC7_ETA_QUOTIENT,
     EtaQuotientSpec,
     _ARRAY_CODES,
+    _bound,
     _euler_terms,
     _inverse_2adic,
     _mul_packed,
     _pack,
     _packed_width,
+    _product,
     _psi_terms,
     _unpack,
     _x_terms,
@@ -468,6 +470,72 @@ def test_pack_reads_back_the_extreme_slots(k):
     assert x == sum(v << 8 * k * e for e, v in enumerate(values))
     assert _unpack(x, k, len(values)) == values
     assert _unpack(x, k, 3) == values[:3]
+
+
+
+def _ref_product(pairs, n):
+    # sum_i row_i * prod factors_i below q^n, schoolbook: one dense pass
+    # per factor, one Python step per coefficient and term
+    total = [0] * n
+    for row, factors in pairs:
+        c = (list(row) + [0] * n)[:n]
+        for terms in factors:
+            c = [sum(m * c[e - f] for f, m in terms if f <= e) for e in range(n)]
+        total = [x + y for x, y in zip(total, c)]
+    return total
+
+
+def _random_pairs(rng, count, n):
+    # rows of either sign, up to 2^70 in size, each times up to three
+    # factors of up to five terms with multiplicities +-1..3, their
+    # exponents drawn below n + 3, so some at or past n
+    pairs = []
+    for _ in range(count):
+        top = 2 ** rng.choice((3, 15, 40, 70))
+        row = [rng.randint(-top, top) for _ in range(n)]
+        factors = []
+        for _ in range(rng.randint(0, 3)):
+            es = rng.sample(range(n + 3), rng.randint(1, min(5, n + 3)))
+            factors.append({e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in es}.items())
+        pairs.append((row, factors))
+    return pairs
+
+
+@pytest.mark.parametrize("n", [1, 2, 17, 300])
+def test_product_matches_schoolbook(n):
+    rng = random.Random(n)
+    for count in (1, 2) * 15:
+        pairs = _random_pairs(rng, count, n)
+        expected = _ref_product(pairs, n)
+        assert _product(pairs, n) == expected, pairs
+        assert max(map(abs, expected)) <= _bound(pairs), pairs
+    # a negative row entry larger than the row's maximum, and a factor whose
+    # multiplicity exceeds its term count: each needs the wider slot
+    assert _product([([1, -2**20], [])], 2) == [1, -2**20]
+    assert _product([([2**14, 1], [[(0, 3)]]), ([0, -1], [])], 2) == [3 * 2**14, 2]
+
+
+def test_bound_by_hand():
+    f, g = [(0, 1), (2, -3)], {1: 2, 5: -1}.items()  # sum |m|: 4 and 3
+    assert _bound([]) == 0
+    assert _bound([([0, 7, -2], [])]) == 7
+    assert _bound([([3, -5, 2], [f, g])]) == 5 * 4 * 3
+    assert _bound([([3, -5, 2], [f]), ([-1, 6], [g, g])]) == 5 * 4 + 6 * 3 * 3
+
+
+def test_product_width_ticks_at_2_to_the_15():
+    # 4681 * 7 = 2^15 - 1 at q^2 packs in 2 bytes; one more there needs 4,
+    # and both read back exactly
+    seven = [(0, 1), (1, 3), (2, 3)]
+    low = [([4681] * 3, [seven])]
+    for pairs, top, width in ((low, 2**15 - 1, 2), (low + [([0, 0, 1], [])], 2**15, 4)):
+        widths = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(qseries, "_pack", lambda values, k: widths.append(k) or _pack(values, k))
+            c = _product(pairs, 3)
+        assert _bound(pairs) == c[2] == top
+        assert c == _ref_product(pairs, 3)
+        assert widths == [width] * len(pairs)
 
 
 def _ref_sparse_sc_series(t, prec):
