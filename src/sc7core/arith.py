@@ -18,20 +18,6 @@ class InexactCount(ArithmeticError):
     """A computed count came out non-integral or negative."""
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic trial division; inputs here are desk-scale."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as [(p, exponent)], p ascending."""
     if n < 1:
@@ -55,6 +41,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def is_prime(n: int) -> bool:
+    """True iff n is prime, read off its factorization; inputs here are
+    desk-scale."""
+    return n > 1 and factorize(n) == [(n, 1)]
 
 
 def divisors(n: int) -> list[int]:

@@ -403,9 +403,8 @@ def cmd_verify(args) -> int:
     elif args.check in CHECKS:
         names = [args.check]
     else:
-        print(f"error: unknown check {args.check!r}; valid checks: "
-              f"{', '.join(CHECKS)}, all", file=sys.stderr)
-        return 1
+        raise ValueError(f"unknown check {args.check!r}; valid checks: "
+                         f"{', '.join(CHECKS)}, all")
     table = _tables()
     for name in names:
         check, cases = CHECKS[name], 0
@@ -457,6 +456,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The exit code of each error main reports, most specific first:
+# HypothesisViolation is a ValueError.
+_EXIT_CODES = {HypothesisViolation: 2, InexactCount: 3, ValueError: 1}
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -470,15 +474,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
-    except HypothesisViolation as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except InexactCount as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

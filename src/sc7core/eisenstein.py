@@ -162,23 +162,29 @@ def theta_from_eisenstein(i: int, m: int,
     raise ValueError(f"theta index must be 1, 2 or 3, got {i}")
 
 
-# The case table of `closed_rep_count`, form i -> its factors of H by column.
+# The case table of `closed_rep_count`, form i -> twice its factors of H
+# by column, so that every entry is an int.
 _CLOSED_R_TABLE = {
-    1: (Fraction(2), Fraction(8), Fraction(4)),
-    2: (Fraction(0), Fraction(2), Fraction(2)),
-    3: (Fraction(3, 2), Fraction(3), Fraction(0)),
+    1: (4, 16, 8),
+    2: (0, 4, 4),
+    3: (3, 6, 0),
 }
 
 
-def closed_rep_count(i: int, m: int) -> Fraction:
+def closed_rep_count(i: int, m: int) -> int:
     """Closed form for the i-th decomposition form's representation number
-    at odd m coprime to 7, from the case tables (n := m - 2, H :=
+    R_i(m) at odd m coprime to 7, from the case tables (n := m - 2, H :=
     H(-_lift(7m))):
 
         n mod 8:        1, 5      3        7
         form 1:         2H        8H       4H
         form 2:         0         2H       2H
         form 3:         (3/2)H    3H       0
+
+    H is an int here: _lift(7m) is 7m or 28m, and neither is 3k^2 or
+    4k^2, since either would force 7 | k and so 7 | m.  The table holds
+    each factor doubled; the count is the entry times H, halved, and
+    InexactCount is raised if that product is odd.
     """
     if i not in (1, 2, 3):
         raise ValueError(f"form index must be 1, 2 or 3, got {i}")
@@ -186,10 +192,12 @@ def closed_rep_count(i: int, m: int) -> Fraction:
         raise HypothesisViolation(f"closed form needs odd m >= 3, got {m}")
     if m % 7 == 0:
         raise HypothesisViolation(f"closed form needs m coprime to 7, got {m}")
-    H = hurwitz(_lift(7 * m))
     n = m - 2
     col = 0 if n % 4 == 1 else (1 if n % 8 == 3 else 2)
-    return _CLOSED_R_TABLE[i][col] * H
+    twice = _CLOSED_R_TABLE[i][col] * hurwitz(_lift(7 * m))
+    if twice % 2:
+        raise InexactCount(f"closed form R_{i}({m}) gives {Fraction(twice, 2)}")
+    return twice // 2
 
 
 class Discriminant(NamedTuple):

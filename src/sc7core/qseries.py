@@ -33,16 +33,12 @@ eta quotient's own widths use too.
   two share Jacobi's triple product (psi is a case of it).
 
 On one core of a 2-vCPU VM (Python 3.11.7, best of 9 runs, 5 at
-3*10^5, 2 at 10^6 and 1 at 3*10^6, the sizes below 10^6 interleaved with
-the code before the slots were sized from the row), `sc_series(7, N)`
-takes 0.0017 s at N = 4001, 0.0043 s at 10^4, 0.017 s at 3*10^4,
-0.076 s at 10^5, 0.37 s at 3*10^5, 1.4-1.9 s at 10^6 and 10.5 s at
-3*10^6, a fitted exponent of about 1.5 from 10^5 on.  With slots sized
-from the lattice-box bound (2M + 3)^(s-1), 4 bytes from N = 56700, it
-took 0.13, 0.66, 4.0 and 19.7 s at the last four sizes.  The SC7 eta
-quotient costs about 0.0053 s at 4000, 0.023 s at 10^4, 0.11 s at
-3*10^4 and 1.3 s at 10^5 (best of 9, 3 at 10^5); with all six factors
-pentagonal it took 0.0079, 0.035, 0.26 and 2.6 s in the same runs.
+3*10^5, 2 at 10^6 and 1 at 3*10^6), `sc_series(7, N)` takes 0.0017 s
+at N = 4001, 0.0043 s at 10^4, 0.017 s at 3*10^4, 0.076 s at 10^5,
+0.37 s at 3*10^5, 1.4-1.9 s at 10^6 and 10.5 s at 3*10^6, a fitted
+exponent of about 1.5 from 10^5 on.  The SC7 eta quotient costs about
+0.0053 s at 4000, 0.023 s at 10^4, 0.11 s at 3*10^4 and 1.3 s at 10^5
+(best of 9, 3 at 10^5).
 """
 
 from __future__ import annotations
@@ -70,10 +66,6 @@ class QSeries:
         self._coeffs = c
 
     @property
-    def precision(self) -> int:
-        return len(self._coeffs)
-
-    @property
     def coeffs(self) -> tuple:
         return self._coeffs
 
@@ -91,9 +83,6 @@ class QSeries:
         if not isinstance(other, QSeries):
             return NotImplemented
         return self._coeffs == other._coeffs
-
-    def __hash__(self):
-        return hash(self._coeffs)
 
     def __repr__(self) -> str:
         head = ", ".join(map(str, self._coeffs[:8]))

@@ -32,12 +32,9 @@ Both replace a sweep over every lattice point of the box, O(N^1.5)
 steps.  On one core of a 2-vCPU VM (Python 3.11.7, best of 15 runs,
 which drift between runs), the three decomposition forms cost about
 0.001-0.002 s for `theta_coeffs` at N = 4000, 0.003-0.005 s at
-N = 10000 and 0.09-0.15 s at N = 10^5, where the shifted adds lead
-(with one Python step per (y, z): 0.001-0.004, 0.006-0.009 and
-0.10-0.28 s), and together 0.001 s for `rep_count` at m = 1500,
-0.010-0.011 s at m = 20003 and 0.05 s at m = 100003 (over the whole box
-with one Python step and one isqrt per (y, z): 0.003-0.004, 0.03-0.05
-and 0.16-0.24 s).
+N = 10000 and 0.09-0.15 s at N = 10^5, where the shifted adds lead,
+and together 0.001 s for `rep_count` at m = 1500, 0.010-0.011 s at
+m = 20003 and 0.05 s at m = 100003.
 """
 
 from __future__ import annotations
@@ -90,13 +87,6 @@ class TernaryQF:
             return -((s + E * z) // (2 * A)), (s - E * z) // (2 * A)
 
         return isqrt(budget // G), y_range
-
-    def is_positive_definite(self) -> bool:
-        try:
-            self._box(0)
-        except ValueError:
-            return False
-        return True
 
 
 def rep_count(Q: TernaryQF, m: int) -> int:

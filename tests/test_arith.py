@@ -17,23 +17,30 @@ from sc7core.arith import (
 )
 
 
-def test_is_prime_against_sieve():
-    limit = 2000
+def _prime_sieve(limit):
+    """Eratosthenes: sieve[n] is 1 iff n is prime, for n = 0..limit.  The
+    oracle for both is_prime and factorize, since is_prime reads factorize."""
     sieve = bytearray([1]) * (limit + 1)
     sieve[0] = sieve[1] = 0
     for i in range(2, math.isqrt(limit) + 1):
         if sieve[i]:
             sieve[i * i :: i] = bytearray(len(sieve[i * i :: i]))
-    for n in range(limit + 1):
+    return sieve
+
+
+def test_is_prime_against_sieve():
+    sieve = _prime_sieve(2000)
+    for n in range(len(sieve)):
         assert is_prime(n) == bool(sieve[n])
     assert not is_prime(-7)
 
 
 def test_factorize_reconstructs():
+    sieve = _prime_sieve(2000)
     for n in range(1, 2001):
         fac = factorize(n)
         assert math.prod(p ** e for p, e in fac) == n
-        assert all(is_prime(p) and e >= 1 for p, e in fac)
+        assert all(sieve[p] and e >= 1 for p, e in fac)
         assert [p for p, _ in fac] == sorted({p for p, _ in fac})
 
 

@@ -217,6 +217,12 @@ def test_verify_unknown_check(capsys):
     assert cli.main(["verify", "--check", "bogus"]) == 1
     err = capsys.readouterr().err
     assert "vanishing-7mod8" in err and "g-basis" in err
+    # main reports the error as one line, with the code of a ValueError
+    assert cli.main(["verify", "--check", "nope"]) == 1
+    assert capsys.readouterr() == ("", (
+        "error: unknown check 'nope'; valid checks: route-equivalence, "
+        "vanishing-7mod8, theta-identity, closed-R-tables, g-basis, "
+        "cohen-scaling, dirichlet-vs-forms, all\n"))
 
 
 def test_verify_counterexample_exits_3(monkeypatch, capsys):

@@ -130,12 +130,21 @@ def test_closed_rep_count_examples():
         closed_rep_count(1, 1)
 
 
+def test_closed_rep_count_rejects_an_odd_product(monkeypatch):
+    # form 3 at n = m - 2 = 1 mod 4 is (3/2)H: an odd H cannot give a count
+    monkeypatch.setattr(eisenstein, "hurwitz", lambda D: 5)
+    with pytest.raises(InexactCount, match=r"R_3\(3\) gives 15/2"):
+        closed_rep_count(3, 3)
+    assert closed_rep_count(1, 3) == 10
+
+
 def test_closed_rep_count_matches_lattice(theta_tables):
     for m in range(3, 302, 2):
         if m % 7 == 0:
             continue
         for i in (1, 2, 3):
-            assert closed_rep_count(i, m) == theta_tables[i - 1][m]
+            value = closed_rep_count(i, m)
+            assert type(value) is int and value == theta_tables[i - 1][m], (i, m)
 
 
 def test_theta_from_eisenstein_matches_lattice(theta_tables):

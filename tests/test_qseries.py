@@ -34,7 +34,6 @@ from sc7core.qseries import (
 
 def test_qseries_basics():
     s = QSeries([1, 2, 3])
-    assert s.precision == 3
     assert len(s) == 3
     assert s[0] == 1 and s[2] == 3
     with pytest.raises(IndexError):
