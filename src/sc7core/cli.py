@@ -43,8 +43,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .arith import HypothesisViolation, InexactCount, is_fundamental
 from .eisenstein import (
+    _class_number_fields,
     closed_rep_count,
-    discriminant_of,
     sc7_from_character_sum,
     sc7_from_class_number,
     theta_from_eisenstein,
@@ -87,30 +87,18 @@ class Route(NamedTuple):
     sc7(0..N) at once (enum, qseries, eta, theta).  count(n) answers one n
     on its own: the only path of theorem and cor2, and a faster one than a
     table to N = n for enum and theta.  extras(n, value) gives the D_n and
-    H fields a class-number route reports with its checked count.  Where a
-    route applies is stated only by its functions, which raise
-    HypothesisViolation elsewhere.  Entries call the library through this
-    module's names at call time, so patching `cli.sc_series` (say)
-    reaches them."""
+    H fields a class-number route reports with its checked count: for
+    theorem and cor2 that is `eisenstein._class_number_fields`, the inverse
+    of the library's one class-number evaluator, so this module does no
+    class-number arithmetic.  Where a route applies is stated only by its
+    functions, which raise HypothesisViolation elsewhere.  The table and
+    count entries call the library through this module's names at call
+    time, so patching `cli.sc_series` (say) reaches them; the extras read
+    `hurwitz` from `eisenstein`."""
 
     table: Optional[Callable[[int], Sequence]] = None
     count: Optional[Callable[[int], int]] = None
     extras: Optional[Callable[[int, int], dict]] = None
-
-
-def _class_number_extras(n: int, value: int) -> dict:
-    """D_n and H(-D_n) for a class-number count value = H(-D_n) /
-    2^(epsilon+1), recovering H exactly from value, so no second class
-    number is built; except at n = 7 mod 8, where the count uses none and
-    H comes from `hurwitz`.  That D_n = 7 mod 8 is neither 3k^2 nor 4k^2,
-    so H is an int, and InexactCount is raised if it is not."""
-    d = discriminant_of(n)
-    if n % 8 != 7:
-        return {"D_n": d.D, "H": value * 2 ** (d.epsilon + 1)}
-    H = hurwitz(d.D)
-    if type(H) is not int:
-        raise InexactCount(f"class number H(-{d.D}) at n={n} is {H}")
-    return {"D_n": d.D, "H": H}
 
 
 def _theta_reps(N: int) -> list:
@@ -131,8 +119,8 @@ ROUTES = {
     "eta": Route(table=lambda N: eta_quotient_series(SC7_ETA_QUOTIENT, N + 3).coeffs[2:]),
     "theta": Route(table=lambda N: _theta_column(_theta_reps(N), N),
                    count=lambda n: sc7_from_thetas(n)),
-    "theorem": Route(count=lambda n: sc7_from_class_number(n), extras=_class_number_extras),
-    "cor2": Route(count=lambda n: sc7_from_character_sum(n), extras=_class_number_extras),
+    "theorem": Route(count=lambda n: sc7_from_class_number(n), extras=_class_number_fields),
+    "cor2": Route(count=lambda n: sc7_from_character_sum(n), extras=_class_number_fields),
 }
 
 

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple
+from math import gcd
+from typing import Callable, NamedTuple
 
 from .arith import (
     HypothesisViolation,
@@ -219,44 +220,52 @@ def discriminant_of(n: int) -> Discriminant:
     return Discriminant(n, D, int(D != N))
 
 
-def theorem_discriminant(n: int) -> Discriminant:
-    """D_n for an odd n where the class-number expressions apply, that is
-    n != 5 mod 7; raises HypothesisViolation anywhere else."""
+def _class_number_count(n: int, H_of: Callable, what: str, *args) -> int:
+    """The theorem, stated once: for odd n != 5 mod 7,
+
+        sc7(n) = 2^(-epsilon-1) H(-D_n):  H(-D_n) / 4   (n = 1 mod 4)
+                                          H(-D_n) / 2   (n = 3 mod 8)
+                                          0             (n = 7 mod 8)
+
+    with H(-D_n) = H_of(D_n, *args), which the vanishing case never calls.
+    Raises HypothesisViolation outside that domain, and InexactCount
+    unless H(-D_n) is an int that 2^(epsilon+1) divides with a
+    non-negative quotient, so a wrong class number can never pass as a
+    count; the message is `what`, formatted with args and n, D and H,
+    followed by the quotient.
+    """
     d = discriminant_of(n)
     if n % 7 == 5:
-        raise HypothesisViolation(
-            f"no class-number expression at n = 5 mod 7 (got n={n}); "
-            "use the qseries, eta, theta or enum routes there"
-        )
-    return d
-
-
-def _count_from_H(d: Discriminant, H: int | Fraction, what: str) -> int:
-    """sc7(n) = 2^(-epsilon-1) H(-D_n), that is H/4 for n = 1 mod 4 and
-    H/2 for n = 3 mod 8, as an int; raises InexactCount unless H is an
-    int that 2^(epsilon+1) divides, with a non-negative quotient, so a
-    wrong class number can never pass as a count."""
+        raise HypothesisViolation(f"no class-number expression at n = 5 mod 7 (got n={n}); "
+                                  "use the qseries, eta, theta or enum routes there")
+    if n % 8 == 7:
+        return 0
+    H = H_of(d.D, *args)
     divisor = 2 ** (d.epsilon + 1)
     if type(H) is not int or H < 0 or H % divisor:
-        raise InexactCount(f"{what} gives {Fraction(H) / divisor}")
+        raise InexactCount(f"{what.format(*args, n=n, D=d.D, H=H)} gives {Fraction(H) / divisor}")
     return H // divisor
 
 
-def sc7_from_class_number(n: int) -> int:
-    """Self-conjugate 7-core count of odd n (n != 5 mod 7) via H(-D_n):
-
-        n = 1 mod 4:  H(-D_n) / 4
-        n = 3 mod 8:  H(-D_n) / 2
-        n = 7 mod 8:  0
-
-    with H(-D_n) from the reduced forms; the vanishing case reads none.
-    Raises InexactCount unless the count is a non-negative integer.
-    """
-    d = theorem_discriminant(n)
-    if n % 8 == 7:
-        return 0
+def _class_number_fields(n: int, value: int) -> dict:
+    """The D_n and H(-D_n) of a class-number count value, inverting
+    `_class_number_count`: H = value * 2^(epsilon+1), so no second class
+    number is built; except at n = 7 mod 8, where the count reads none
+    and H comes from `hurwitz`.  That D_n = 7 mod 8 is neither 3k^2 nor
+    4k^2, so H is an int there, and InexactCount is raised if it is not."""
+    d = discriminant_of(n)
+    if n % 8 != 7:
+        return {"D_n": d.D, "H": value * 2 ** (d.epsilon + 1)}
     H = hurwitz(d.D)
-    return _count_from_H(d, H, f"class number route at n={n} with H(-{d.D}) = {H}")
+    if type(H) is not int:
+        raise InexactCount(f"class number H(-{d.D}) at n={n} is {H}")
+    return {"D_n": d.D, "H": H}
+
+
+def sc7_from_class_number(n: int) -> int:
+    """Self-conjugate 7-core count of odd n (n != 5 mod 7) by
+    `_class_number_count`, with H(-D_n) from the reduced forms."""
+    return _class_number_count(n, hurwitz, "class number route at n={n} with H(-{D}) = {H}")
 
 
 # The character sum costs O(D_n) time: n = 1000001 (D_n = 2.8e7) takes
@@ -266,51 +275,45 @@ def sc7_from_class_number(n: int) -> int:
 COR2_MAX_D = 3 * 10**7
 
 
+def _character_sum_H(D: int, n: int) -> int | Fraction:
+    """H(-D) = S / (2 - chi(2)) from `dirichlet_hurwitz`, for D = D_n
+    with -D fundamental, or a refusal before any sum is built: a
+    HypothesisViolation if -D is not fundamental, then a ValueError that
+    names the theorem route if the sum is longer than COR2_MAX_D."""
+    if not is_fundamental(-D):
+        raise HypothesisViolation(f"-{D} is not a fundamental discriminant (n={n})")
+    if D > COR2_MAX_D:
+        raise ValueError(f"cor2 needs a character sum of length D_n = {D} at n={n}, "
+                         f"above its limit {COR2_MAX_D}; use --route theorem")
+    return dirichlet_hurwitz(D)
+
+
 def sc7_from_character_sum(n: int) -> int:
-    """Same count through the Dirichlet character sum, for fundamental -D_n:
-
-        H(-D_n) / 4   (n = 1 mod 4)
-        H(-D_n) / 2   (n = 3 mod 8)
-        0             (n = 7 mod 8)
-
-    with H(-D_n) = S / (2 - chi(2)) from `dirichlet_hurwitz`, S the sum of
+    """Same count by `_class_number_count`, for fundamental -D_n, with
+    H(-D_n) = S / (2 - chi(2)) from `_character_sum_H`, S the sum of
     chi_{-D_n}(m) over the half period 0 <= m < D_n/2.
 
-    The vanishing case needs no sum and no fundamentality, so it is
-    answered before the fundamentality check.  A sum longer than
-    COR2_MAX_D is refused with a ValueError that names the theorem route,
-    before any of it is built.  Raises InexactCount unless the count is a
-    non-negative integer.
+    The vanishing case n = 7 mod 8 needs no sum and no fundamentality.
+    Elsewhere a non-fundamental -D_n raises HypothesisViolation, and a
+    sum longer than COR2_MAX_D is refused with a ValueError before any of
+    it is built.
     """
-    d = theorem_discriminant(n)
-    if n % 8 == 7:
-        return 0
-    if not is_fundamental(-d.D):
-        raise HypothesisViolation(f"-{d.D} is not a fundamental discriminant (n={n})")
-    if d.D > COR2_MAX_D:
-        raise ValueError(f"cor2 needs a character sum of length D_n = {d.D} at n={n}, "
-                         f"above its limit {COR2_MAX_D}; use --route theorem")
-    return _count_from_H(d, dirichlet_hurwitz(d.D), f"character sum route at n={n}")
+    return _class_number_count(n, _character_sum_H, "character sum route at n={n}", n)
 
 
 def sc7_scaled(n: int, f: int) -> int:
-    """sc7((n+2) f^2 - 2) from data at n, for odd f coprime to 7 and
-    fundamental -D_n:
+    """sc7((n+2) f^2 - 2) from data at n, for odd f coprime to 7, by
+    `_class_number_count` with H(-D_n f^2) from `hurwitz_scaled`:
 
         sc7(n) * sum_{d | f} mu(d) chi_{-D_n}(d) sigma1(f/d)
 
     Odd f has f^2 = 1 mod 8, so (n+2) f^2 - 2 = n mod 8, its discriminant
-    is D_n f^2 and the divisor 4 or 2 stays the same: the count is
-    H(-D_n f^2) / 4 or / 2, with H(-D_n f^2) from `hurwitz_scaled`.
-    Raises InexactCount unless the count is a non-negative integer.
+    is D_n f^2 and the divisor 4 or 2 stays the same.  At n = 7 mod 8 the
+    count is 0 whatever -D_n is; elsewhere -D_n must be fundamental, and
+    `hurwitz_scaled` raises HypothesisViolation if it is not.
     """
-    d = theorem_discriminant(n)
     if f < 1 or f % 2 == 0:
         raise HypothesisViolation(f"need a positive odd scaling factor, got f={f}")
-    if f % 7 == 0:
+    if gcd(f, 7) != 1:
         raise HypothesisViolation(f"scaling factor must be coprime to 7, got f={f}")
-    if not is_fundamental(-d.D):
-        raise HypothesisViolation(f"-{d.D} is not a fundamental discriminant (n={n})")
-    if n % 8 == 7:
-        return 0
-    return _count_from_H(d, hurwitz_scaled(d.D, f), f"scaled class number route at n={n}, f={f}")
+    return _class_number_count(n, hurwitz_scaled, "scaled class number route at n={n}, f={0}", f)

@@ -66,18 +66,23 @@ class TernaryQF:
         return (self.a * x * x + self.b * y * y + self.c * z * z
                 + self.d * y * z + self.e * x * z + self.f * x * y)
 
+    def _completed_square(self) -> tuple[int, int, int]:
+        """(A, E, F) = (4ab - f^2, 4ad - 2ef, 4ac - e^2), the coefficients of
+        P = A y^2 + E yz + F z^2 in the module docstring."""
+        a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
+        return 4 * a * b - f * f, 4 * a * d - 2 * e * f, 4 * a * c - e * e
+
     def _box(self, m: int):
         """The (y, z) at which Q(x, y, z) <= m for some real x, as
         (zmax, y_range): |z| <= zmax, and ylo <= y <= yhi for
         (ylo, yhi) = y_range(z), empty (0, -1) past zmax.  The bounds are
         derived in the module docstring.  Raises ValueError unless Q is
         positive definite."""
-        a, b, c, d, e, f = self.a, self.b, self.c, self.d, self.e, self.f
-        A, E, F = 4 * a * b - f * f, 4 * a * d - 2 * e * f, 4 * a * c - e * e
+        A, E, F = self._completed_square()
         G = 4 * A * F - E * E
-        if a <= 0 or A <= 0 or G <= 0:
+        if self.a <= 0 or A <= 0 or G <= 0:
             raise ValueError(f"{self} is not positive definite")
-        budget = 16 * a * A * m
+        budget = 16 * self.a * A * m
 
         def y_range(z: int) -> tuple[int, int]:
             rem = budget - G * z * z
@@ -122,7 +127,7 @@ def rep_count(Q: TernaryQF, m: int) -> int:
         raise ValueError(f"need a non-negative target, got {m}")
     zmax, y_range = Q._box(m)
     a, e, f = Q.a, Q.e, Q.f
-    A, E, F = 4 * a * Q.b - f * f, 4 * a * Q.d - 2 * e * f, 4 * a * Q.c - e * e
+    A, E, F = Q._completed_square()
     am4 = 4 * a * m
 
     def line(z: int, y0: int, y1: int, ylo: int, yhi: int) -> int:

@@ -104,6 +104,19 @@ def test_sc7_hypothesis_violations_exit_2(capsys):
     assert "hypothesis" in err or "error" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["verify", "--max", "0"], "argument --max"),
+    (["forms", "0"], "argument D"),
+    (["hurwitz", "0"], "argument D"),
+])
+def test_zero_bound_or_discriminant_exits_1(capsys, argv, name):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith(f"sc7core {argv[0]}: error: {name}: must be >= 1, got 0\n")
+
+
 def test_sc7_malformed_input_exits_1():
     with pytest.raises(SystemExit) as exc:
         cli.main(["sc7", "nine"])
@@ -678,7 +691,9 @@ def test_vanishing_row_reports_an_integral_class_number(monkeypatch, capsys):
 
     code, out = run_cli("sc7", "15", "--route", "theorem")
     assert code == 0 and out == '{"n": 15, "route": "theorem", "value": 0, "D_n": 119, "H": 10}\n'
-    monkeypatch.setattr(cli, "hurwitz", lambda D: Fraction(1, 3))
+    from sc7core import eisenstein
+
+    monkeypatch.setattr(eisenstein, "hurwitz", lambda D: Fraction(1, 3))
     for route in ("theorem", "cor2"):
         assert cli.main(["sc7", "15", "--route", route]) == 3
         out, err = capsys.readouterr()

@@ -269,6 +269,15 @@ def test_sc7_scaled_rejects():
         sc7_scaled(19, 3)  # n = 5 mod 7
 
 
+def test_sc7_scaled_vanishes_whatever_the_discriminant(qs7):
+    # at n = 7 mod 8 the scaled count is 0 with no class number read,
+    # also where -D_n is not fundamental (-63, -175, -567)
+    for n, fs in ((7, (1, 3, 5, 9, 11, 13, 15, 17)), (23, (1, 3, 5, 9)), (79, (1, 3, 5))):
+        assert not is_fundamental(-discriminant_of(n).D)
+        for f in fs:
+            assert sc7_scaled(n, f) == qs7[(n + 2) * f * f - 2] == 0, (n, f)
+
+
 def test_class_number_routes_return_int():
     for n in (1, 3, 7, 9, 11, 13, 2923):
         assert type(sc7_from_class_number(n)) is int
@@ -277,18 +286,37 @@ def test_class_number_routes_return_int():
     assert type(sc7_scaled(11, 15)) is int
 
 
-def test_count_from_H_is_exact_integer_division():
+def test_class_number_count_is_exact_integer_division():
     # H / 2^(epsilon+1) in int arithmetic: an int count or InexactCount,
     # never a float, for n = 1 mod 4 (divisor 4) and n = 3 mod 8 (2)
-    quarter, half = discriminant_of(9), discriminant_of(11)
-    with pytest.raises(InexactCount, match="gives 3/2"):
-        eisenstein._count_from_H(quarter, 6, "H = 6 at n = 9")
-    with pytest.raises(InexactCount, match="gives 3/2"):
-        eisenstein._count_from_H(half, 3, "H = 3 at n = 11")
+    def constant(H):
+        return lambda D, *args: H
+
+    with pytest.raises(InexactCount, match="^H = 6 at n = 9, D = 308 gives 3/2$"):
+        eisenstein._class_number_count(9, constant(6), "H = {H} at n = {n}, D = {D}")
+    with pytest.raises(InexactCount, match="^H = 3 at n = 11, f = 5 gives 3/2$"):
+        eisenstein._class_number_count(11, constant(3), "H = {H} at n = {n}, f = {0}", 5)
     for H in range(0, 200, 4):
-        for d in (quarter, half):
-            count = eisenstein._count_from_H(d, H, "")
-            assert type(count) is int and count == H // 2 ** (d.epsilon + 1)
+        for n in (9, 11):
+            count = eisenstein._class_number_count(n, constant(H), "")
+            assert type(count) is int and count == H // 2 ** (discriminant_of(n).epsilon + 1)
+
+
+def test_class_number_count_states_the_domain_once():
+    # the domain checks come before H_of is read, and the vanishing
+    # residue n = 7 mod 8 never reads it
+    def unreachable(D, *args):
+        raise AssertionError("H read")
+
+    with pytest.raises(HypothesisViolation, match="need an odd positive n, got 12"):
+        eisenstein._class_number_count(12, unreachable, "")
+    with pytest.raises(HypothesisViolation, match=r"n = 5 mod 7 \(got n=19\)"):
+        eisenstein._class_number_count(19, unreachable, "")
+    for n in (7, 15, 23, 31, 1511):
+        assert eisenstein._class_number_count(n, unreachable, "") == 0
+    seen = []
+    eisenstein._class_number_count(11, lambda D, *args: seen.append((D, *args)) or 2, "", 3)
+    assert seen == [(91, 3)]
 
 
 def test_class_number_routes_reject_inexact_counts(monkeypatch):

@@ -17,7 +17,7 @@ from sc7core.arith import (
     sigma1,
     smallest_prime_factors,
 )
-from sc7core.eisenstein import theorem_discriminant
+from sc7core.eisenstein import discriminant_of
 from sc7core.quadforms import (
     BinaryQF,
     _character_tables,
@@ -186,7 +186,7 @@ def _ref_count_head(D, head, spf, roots):
 
 def test_count_head_matches_lifted_roots():
     # every discriminant D <= 5000 and every theorem D_n with n <= 2000
-    theorem_D = [theorem_discriminant(n).D for n in range(1, 2001, 2) if n % 7 != 5]
+    theorem_D = [discriminant_of(n).D for n in range(1, 2001, 2) if n % 7 != 5]
     for D in [D for D in range(3, 5001) if D % 4 in (0, 3)] + theorem_D:
         head = isqrt(D - 1) // 2
         spf = smallest_prime_factors(isqrt(D // 3))
