@@ -25,20 +25,24 @@ eta quotient's own widths use too.
   Euler's pentagonal number theorem, about 2*sqrt(2N/(3s)) terms for
   scale s.  It computes the whole quotient packed: the two longest
   numerator factors as one counted dense row, the rest of the numerator
-  and the denominator each by one shifted add per term, the division as
-  one multiply by the denominator's inverse modulo a power of 2, and an
-  exact check of the result, with every width from `_bound`.
-  The shifted adds cost O(N^1.5) word operations and the products about
-  O(N^1.58).  It stays the independent check of `sc_series`, though the
-  two share Jacobi's triple product (psi is a case of it).
+  and the denominator each by one shifted add per term, the division in
+  the denominator's own variable x = q^g (q^4 for SC7): its inverse
+  modulo a power of 2 over ceil(N/g) slots, one multiply by it per
+  residue class of the exponent mod g, and an exact check of the
+  result at full length, with every width from `_bound`.  The shifted
+  adds cost O(N^1.5) word operations and the products about O(N^1.58).
+  It stays the independent check of `sc_series`, though the two share
+  Jacobi's triple product (psi is a case of it).
 
 On one core of a 2-vCPU VM (Python 3.11.7, best of 9 runs, 5 at
 3*10^5, 2 at 10^6 and 1 at 3*10^6), `sc_series(7, N)` takes 0.0017 s
 at N = 4001, 0.0043 s at 10^4, 0.017 s at 3*10^4, 0.076 s at 10^5,
 0.37 s at 3*10^5, 1.4-1.9 s at 10^6 and 10.5 s at 3*10^6, a fitted
 exponent of about 1.5 from 10^5 on.  The SC7 eta quotient costs about
-0.0053 s at 4000, 0.023 s at 10^4, 0.11 s at 3*10^4 and 1.3 s at 10^5
-(best of 9, 3 at 10^5).
+0.0027 s at 4000, 0.0084 s at 10^4, 0.036 s at 3*10^4, 0.28 s at 10^5
+and 1.45 s at 3*10^5 (best of 9, 3 at 10^5 and 2 at 3*10^5), against
+0.0046, 0.019, 0.084, 0.65 and 3.9 s for the same division done in q
+over N slots.
 """
 
 from __future__ import annotations
@@ -50,7 +54,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, repeat, takewhile
-from math import comb, prod
+from math import comb, gcd, prod
 from operator import sub
 
 
@@ -434,48 +438,69 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     body is c = num / den in Z[q]/(q^N).  For SC7 that is
     psi(q) (q^7;q^7) (q^14;q^14) (q^28;q^28) / (q^4;q^4).
 
-    The quotient is computed in Z/2^(8kN), the image of Z[q]/(q^N) under
-    q -> 2^(8k) (`_packed_width` proves the map a ring homomorphism).
-    The two longest numerator factors form one counted dense row
-    (`_pair_row`); num is the packed row times the other numerator
-    factors, and den the packed 1 times the denominator units, each by
-    one shifted add per term (`_packed`).  den is 1 mod 2^(8k), so
-    odd, and so invertible mod 2^(8kN) (`_inverse_2adic`); one multiply
-    gives the packed quotient, whose slots are read back once.  The
-    intermediates need not fit in a slot: the arithmetic is exact modulo
-    2^(8kN), and only the final coefficients must have |c_e| < 2^(8k-1)
-    to read back.
+    The division runs in the denominator's own variable.  Every
+    denominator unit is a series in x = q^g, g the gcd of their scales
+    (4 for SC7, whose one unit left is (q^4;q^4); 1 when the scales
+    share no factor or there is no denominator), so den = D(x), and
+    c = num / den splits by exponent mod g: with num_j the coefficients
+    num[j::g] as a series in x, c[j::g] = num_j / D in Z[x]/(x^n_j),
+    n_j = len(range(j, N, g)) <= n = ceil(N/g).
+
+    Each part is computed in Z/2^(8k n_j), the image of Z[x]/(x^n_j)
+    under x -> 2^(8k) (`_packed_width` proves the map a ring
+    homomorphism).  The two longest numerator factors form one counted
+    dense row (`_pair_row`); num is the packed row times the other
+    numerator factors, by one shifted add per term (`_packed`), read
+    back once at k bytes into the list that becomes c.  D is the packed
+    1 times the denominator units in x over n slots, again by shifted
+    adds; it is 1 mod 2^(8k), so odd, and so invertible mod 2^(8kn)
+    (`_inverse_2adic`).  Each part num[j::g] is packed at k bytes and
+    multiplied by that inverse once, and its slots are read back in its
+    place as c[j::g].  The intermediates need not fit in a slot: the
+    arithmetic is exact modulo 2^(8k n_j), and only the final
+    coefficients must have |c_e| < 2^(8k-1) to read back.  The split reads num back too, so it
+    is exact only when num's coefficients fit in k bytes; when they do
+    not, a part is wrong and the check below fails.  For g = 1 this is
+    the division in q over N slots.
 
     No cheap tight bound on the c_e is known in advance, so each width
     is checked exactly.  Starting at the least width that holds the row
     (2 bytes for SC7), the read-back c is checked by c * den == num in
-    Z[q]/(q^N): c is packed again and multiplied by the denominator units
-    with the same shifted adds, at a width (k or more) where both sides
-    read back: that of the larger of `_bound`'s bounds on num (the row
-    times the numerator factors outside it) and on c * den.  Only if it
-    is more than k bytes is num packed a second time.  A narrow
-    read-back of num cannot stand in for that bound: an overflowing slot
-    reads back as a wrong value that still lies in range
-    (`_packed_width`'s proof).  Two
-    integer vectors in range pack to the same residue only if they are
-    equal, so the check is exact, and as den is a unit it passes iff c
-    is the quotient.  It uses neither den's packed inverse nor the
-    product by it, so it also catches a fault in those.  If it fails, k
-    doubles.
+    Z[q]/(q^N), at full length: c is packed again and multiplied by the
+    denominator units in q with the same shifted adds, at a width (k or
+    more) where both sides read back: that of the larger of `_bound`'s
+    bounds on num (the row times the numerator factors outside it) and
+    on c * den.  Only if it is more than k bytes is the row packed and
+    multiplied a second time.  A narrow read-back of num cannot stand
+    in for that bound: an overflowing slot reads back as a wrong value
+    that still lies in range (`_packed_width`'s proof).  Two integer
+    vectors in range pack to the same residue only if they are equal,
+    so the check is exact, and as den is a unit it passes iff c is the
+    quotient.  It uses neither D's packed inverse nor the products by
+    it, so it also catches a fault in those or in the split.  If it
+    fails, k doubles.
 
     The loop stops: p(n) <= 2^n bounds the coefficients of 1/(q;q)_inf,
     so with r denominator units every coefficient of 1/den below q^N is
     at most C(N - 1 + r, r) 2^(N-1), and every |c_e| at most that times
-    `_bound` of 1 times all the numerator factors.  The width of that
-    bound is the last one tried (k grows as min(2k, last)); a failed
-    check there is a fault, raised as RuntimeError.  The SC7 quotient
-    passes at k = 2; its check runs at 2 bytes up to prec 34742 and at 4
-    bytes beyond, where max|c| * len(den) passes 2^15.
+    `_bound` of 1 times all the numerator factors, which also bounds
+    every coefficient of num, so the split reads num back exactly there.
+    The width of that bound is the last one tried (k grows as
+    min(2k, last)); a failed check there is a fault, raised as
+    RuntimeError.  The SC7 quotient passes at k = 2; its check runs at 2
+    bytes up to prec 34742 and at 4 bytes beyond, where
+    max|c| * len(den) passes 2^15.  So `_pack` runs at the widths
+    2 (the row), 2, 2, 2, 2 (the four parts) and 2 (c for the check) at
+    prec 20003, and at 2, 2, 2, 2, 2, 4 (the row again) and 4 at 40003:
+    from 34743 on the row is packed twice, which only a tighter proved
+    bound on c would avoid.
 
-    Cost: O(N^1.5) word operations for the shifted adds, plus the few
-    products of 8kN-bit integers in the inverse and the quotient
-    (Karatsuba, about O(N^1.58)), with no Python step per coefficient.
-    The products take most of the time from about N = 10^4 on.
+    Cost: O(N^1.5) word operations for the shifted adds, plus the
+    inverse and the g products of 8kn-bit integers (Karatsuba, about
+    O(n^1.58) each), with no Python step per coefficient.  For SC7 that
+    is a quarter of the length of one division in q.  From about
+    N = 10^5 on the shifted adds and the products take about half the
+    time each.
     """
     if prec < 1:
         raise ValueError("precision must be positive")
@@ -496,6 +521,9 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     for scale, exponent in net.items():
         if exponent:
             (num if exponent > 0 else den).extend([[(0, 1)] + _euler_terms(scale, body)] * abs(exponent))
+    g = gcd(*(scale for scale, exponent in net.items() if exponent < 0)) or 1
+    n = -(-body // g)
+    den_x = [[(e // g, m) for e, m in terms] for terms in den]
     num.sort(key=len, reverse=True)
     row, rest = _pair_row(num[:2], body), num[2:]
     num_bound = _bound([(row, rest)])
@@ -503,7 +531,11 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     k = _packed_width(_bound([(row, [])]))
     while True:
         a = _packed(_pack(row, k), rest, k, body)
-        c = _unpack(a * _inverse_2adic(_packed(1, den, k, body), 8 * k * body), k, body)
+        inverse = _inverse_2adic(_packed(1, den_x, k, n), 8 * k * n)
+        c = _unpack(a, k, body)
+        for j in range(g):
+            part = c[j::g]
+            c[j::g] = _unpack(_pack(part, k) * inverse, k, len(part))
         check = max(k, _packed_width(max(num_bound, _bound([(c, den)]))))
         if check > k:
             a = _packed(_pack(row, check), rest, check, body)

@@ -115,6 +115,23 @@ MUTANTS = (
            "max(set(row))",
            ("tests/test_qseries.py::test_bound_by_hand",
             "tests/test_qseries.py::test_product_matches_schoolbook[17]")),
+    # the eta quotient divided in x = q^g, g the gcd of the denominator scales
+    Mutant("eta split: part j written to residue j + 1", "qseries.py",
+           "            c[j::g] = _unpack(",
+           "            c[(j + 1) % g::g] = _unpack(",
+           ("tests/test_qseries.py::test_sc7_quotient_holds_at_the_first_width",
+            "tests/test_qseries.py::test_eta_quotient_divides_in_the_denominator_variable[spec2-4]")),
+    Mutant("eta split: body // g slots", "qseries.py",
+           "    n = -(-body // g)\n",
+           "    n = body // g\n",
+           ("tests/test_qseries.py::test_sc7_inverse_runs_over_a_quarter_of_the_body",
+            "tests/test_qseries.py::test_eta_quotient_divides_in_the_denominator_variable[spec1-3]",
+            "tests/test_qseries.py::test_eta_quotient_divides_in_the_denominator_variable[spec2-4]")),
+    Mutant("eta split: g over the numerator's scales", "qseries.py",
+           "if exponent < 0)) or 1",
+           "if exponent > 0)) or 1",
+           ("tests/test_qseries.py::test_sc7_quotient_holds_at_the_first_width",
+            "tests/test_qseries.py::test_sc7_inverse_runs_over_a_quarter_of_the_body")),
     # the design rules' cases
     Mutant("exit codes: ValueError first", "cli.py",
            "_EXIT_CODES = {HypothesisViolation: 2, InexactCount: 3, ValueError: 1}",

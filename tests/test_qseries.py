@@ -300,7 +300,8 @@ def test_eta_quotient_matches_pentagonal_reference(spec):
 
 
 def test_sc7_quotient_matches_pentagonal_reference():
-    for prec in (4003, 20003):
+    # 40003 is past 34743, where the check widens to 4 bytes
+    for prec in (4003, 20003, 40003):
         assert eta_quotient_series(SC7_ETA_QUOTIENT, prec) == _ref_pentagonal_eta_series(SC7_ETA_QUOTIENT, prec)
 
 
@@ -335,13 +336,15 @@ def test_eta_quotient_pairs_into_psi(spec, scales):
 WIDE_SPEC = EtaQuotientSpec(((1, -24), (2, 24)))
 
 
-def _count_widths(monkeypatch, body):
-    # the slot width k of each packed division, as 8*k*body bits
+def _count_widths(monkeypatch, body, g):
+    # the slot width k of each packed division: the denominator is
+    # inverted in x = q^g, the gcd of its scales, over ceil(body/g) slots,
+    # as 8*k*ceil(body/g) bits
     widths = []
     real = qseries._inverse_2adic
 
     def counted(a, bits):
-        widths.append(bits // (8 * body))
+        widths.append(bits // (8 * -(-body // g)))
         return real(a, bits)
 
     monkeypatch.setattr(qseries, "_inverse_2adic", counted)
@@ -354,24 +357,90 @@ def test_eta_quotient_matches_reference_in_wide_slots(monkeypatch):
     for _ in range(24):
         _ref_div_sparse(c, _euler_terms(1, body))
     assert max(map(abs, c)) >= 2**63
-    widths = _count_widths(monkeypatch, body)
+    widths = _count_widths(monkeypatch, body, 1)
     assert eta_quotient_series(WIDE_SPEC, 200).coeffs == _ref_eta_quotient_series(WIDE_SPEC, 200)
     assert widths == [2, 4, 8, 16, 32]
 
 
+def _record_packs(monkeypatch):
+    # (width, length) of every _pack call
+    packs = []
+    monkeypatch.setattr(qseries, "_pack", lambda values, k: packs.append((k, len(values))) or _pack(values, k))
+    return packs
+
+
+def _record_inverse_bits(monkeypatch):
+    # the precision in bits of every 2-adic inverse
+    bits = []
+    real = qseries._inverse_2adic
+    monkeypatch.setattr(qseries, "_inverse_2adic", lambda a, b: bits.append(b) or real(a, b))
+    return bits
+
+
 def test_sc7_quotient_holds_at_the_first_width(monkeypatch):
     # one 2-adic inverse at k = 2: the check passes at the first width,
-    # which is what makes the route fast.  The numerator's row is packed
-    # once and the quotient once, both at 2 bytes: the numerator bound
-    # max|row| * prod len(rest) stays below 2^15, where the product of
-    # all the unit lengths would pack the numerator again at 8 bytes.
-    widths = _count_widths(monkeypatch, 20001)
-    packs = []
-    monkeypatch.setattr(qseries, "_pack", lambda values, k: packs.append(k) or _pack(values, k))
+    # which is what makes the route fast.  At 2 bytes the numerator's row
+    # is packed once, the read-back numerator once per residue class mod
+    # 4 (lengths 5001, 5000, 5000, 5000 of body 20001), and the quotient
+    # once: the numerator bound max|row| * prod len(rest) stays below
+    # 2^15, where the product of all the unit lengths would pack the
+    # numerator again at 8 bytes.
+    widths = _count_widths(monkeypatch, 20001, 4)
+    packs = _record_packs(monkeypatch)
     eta = eta_quotient_series(SC7_ETA_QUOTIENT, 20003)
     assert widths == [2]
-    assert packs == [2, 2]
+    assert packs == [(2, 20001), (2, 5001), (2, 5000), (2, 5000), (2, 5000), (2, 20001)]
     assert eta[20002] == 64
+
+
+def test_sc7_numerator_packed_again_past_the_2_byte_check(monkeypatch):
+    # from prec 34743 max|c| * len(den) passes 2^15, so the check runs at
+    # 4 bytes and packs the row again there: the division still holds at
+    # k = 2, the numerator is packed at 2 and at 4 bytes
+    widths = _count_widths(monkeypatch, 40001, 4)
+    packs = _record_packs(monkeypatch)
+    eta = eta_quotient_series(SC7_ETA_QUOTIENT, 40003)
+    assert widths == [2]
+    assert packs == [(2, 40001), (2, 10001), (2, 10000), (2, 10000), (2, 10000), (4, 40001), (4, 40001)]
+    assert eta[40002] == 80
+
+
+def test_sc7_inverse_runs_over_a_quarter_of_the_body(monkeypatch):
+    # the only denominator unit left after the psi pairing is (q^4;q^4),
+    # so it is inverted in x = q^4 over ceil(body/4) slots, not body
+    bits = _record_inverse_bits(monkeypatch)
+    for body in (4000, 4001, 4002, 4003):
+        bits.clear()
+        eta_quotient_series(SC7_ETA_QUOTIENT, body + 2)
+        assert bits == [8 * 2 * -(-body // 4)], body
+
+
+# Specs for the division in x = q^g, g the gcd of the denominator
+# scales left after the psi pairing, each with its g: the numerator has
+# terms in every residue class mod g, and the quotient is put together
+# from g products of ceil(body/g) slots.
+SPLIT_SPECS = [
+    (EtaQuotientSpec(((1, 6), (2, -1), (4, -1), (6, 4))), 2),
+    (EtaQuotientSpec(((1, 9), (3, -1), (6, -1))), 3),
+    (EtaQuotientSpec(((1, 8), (2, 2), (4, -1), (8, -1))), 4),
+    (EtaQuotientSpec(((2, 12), (3, 4), (6, -1), (12, -1), (18, -1))), 6),
+    (EtaQuotientSpec(((1, 12), (2, 12), (12, -1), (24, -1))), 12),
+    (EtaQuotientSpec(((1, 5), (2, -1), (3, -1))), 1),
+]
+
+
+@pytest.mark.parametrize("spec, g", SPLIT_SPECS)
+def test_eta_quotient_divides_in_the_denominator_variable(spec, g, monkeypatch):
+    # every body mod g, from body 1 and bodies below g up, and again
+    # at bodies near 120; the first inverse runs over ceil(body/g) slots
+    # at the width of the first pack, the numerator's row
+    shift = int(spec.leading_power)
+    bits, packs = _record_inverse_bits(monkeypatch), _record_packs(monkeypatch)
+    for body in [*range(1, 2 * g + 2), *range(120, 120 + g)]:
+        bits.clear()
+        packs.clear()
+        assert eta_quotient_series(spec, shift + body).coeffs == _ref_eta_quotient_series(spec, shift + body), body
+        assert bits[0] == 8 * packs[0][0] * -(-body // g), body
 
 
 def test_eta_quotient_raises_when_the_check_fails(monkeypatch):
