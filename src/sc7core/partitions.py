@@ -16,6 +16,7 @@ The full hook test decides every candidate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Iterator, Sequence
 from itertools import chain as flatten_chains
 
@@ -136,17 +137,28 @@ def _chain_tables(N: int, t: int) -> list[list[tuple[int, tuple[int, ...]]]]:
 
 def _heads(tables, N: int) -> Iterator[tuple[int, tuple[tuple[int, ...], ...]]]:
     """Every choice of one entry per table with total mass at most N, as
-    (mass, chains), one chain per table; each table is left at its first
-    entry that no longer fits.  The chains are not joined here: most
-    heads of `sc_count` are never tested."""
-    if not tables:
+    (mass, chains), one chain per table.  The last two tables are one
+    flat nested loop, so no generator is made per head: the second is
+    cut by `bisect_right` on its masses at the mass still free.  Every
+    other table is left at its first entry that no longer fits, and
+    those before the last two recurse.  The chains are not joined here:
+    most heads of `sc_count` are never tested."""
+    if len(tables) == 2:
+        first, second = tables
+        masses = [m for m, _ in second]
+        for m, chain in first:
+            if m > N:
+                break
+            for m2, chain2 in second[:bisect_right(masses, N - m)]:
+                yield m + m2, (chain, chain2)
+    elif not tables:
         yield 0, ()
-        return
-    for m, chain in tables[0]:
-        if m > N:
-            break
-        for mass, chains in _heads(tables[1:], N - m):
-            yield m + mass, (chain,) + chains
+    else:
+        for m, chain in tables[0]:
+            if m > N:
+                break
+            for mass, chains in _heads(tables[1:], N - m):
+                yield m + mass, (chain,) + chains
 
 
 def _joined(chains) -> tuple[int, ...]:
@@ -165,10 +177,12 @@ def sc_count(n: int, t: int) -> int:
     indexed by mass, so a head of mass h tests only the entries of mass
     n - h.
 
-    Medians (Python 3.11.7, 2-vCPU VM, noisy to about ±30%): sc_count(n, 7)
-    takes about 1.0 ms at n = 1500, 4.5 ms at 8001, 14 ms at 30001 and
-    40 ms at 100001.  For every n up to a bound at once, `sc_count_column`
-    tests each candidate once instead of once per call.
+    Best of 12-40 runs (Python 3.11.7, 2-vCPU VM whose speed drifts by
+    about ±30% between runs): sc_count(n, 7) takes about 0.9-1.6 ms at
+    n = 1500, 4.0-6.5 ms at 8001, 10-12 ms at 30001, 26-34 ms at 100001
+    and 0.13-0.20 s at 300001; from n = 30001 on, the hook tests of its
+    few candidates take over half of that.  For every n up to a bound at once,
+    `sc_count_column` tests each candidate once instead of once per call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -189,9 +203,10 @@ def sc_count_column(N: int, t: int) -> list[int]:
     Candidates and walk as in the module docstring; the last table is
     looped over in order of mass for every head, and each candidate
     that passes the hook test adds one at its mass.  Memory stays O(N)
-    plus the chains.  Medians, same run as `sc_count`'s: about 0.011 s
-    at N = 300, 0.24 s at N = 1500 and 0.96 s at N = 3000, where one
-    sc_count call per n takes 0.75 and 3.0 s at the last two.
+    plus the chains.  The hook tests lead its cost, not the walk.  Same
+    runs as `sc_count`'s: about 0.011-0.013 s at N = 300, 0.26-0.38 s at
+    N = 1500 and 1.1-1.6 s at N = 3000, where one sc_count call per n
+    takes 0.46-0.72 and 2.1 s at the last two.
     """
     if N < 0:
         raise ValueError("N must be non-negative")

@@ -18,8 +18,9 @@ Neither kernel loops over x, and both walk the (y, z) box in lines:
 
 - `rep_count(Q, m)` solves a x^2 + B x + (C - m) = 0 for integer x on
   half the box (Q(-v) = Q(v)), testing the discriminants of each line
-  of fixed z for squares in one C-level pass: O(m) C-level steps, and
-  Python steps only per line and per square, O(sqrt(m)) of each.
+  of fixed z for squares in one C-level pass, one lookup each in a set
+  of the squares up to 4am: O(m) C-level steps, and Python steps only
+  per line and per square, O(sqrt(m)) of each.
 - `theta_coeffs(Q, N)` walks the (y, z) box in lines of fixed z and
   fixed y mod h, along which the residue r of B mod 2a is fixed and the
   lowest value of Q over x is a quadratic in y.  Each line is one
@@ -33,8 +34,9 @@ steps.  On one core of a 2-vCPU VM (Python 3.11.7, best of 15 runs,
 which drift between runs), the three decomposition forms cost about
 0.001-0.002 s for `theta_coeffs` at N = 4000, 0.003-0.005 s at
 N = 10000 and 0.09-0.15 s at N = 10^5, where the shifted adds lead,
-and together 0.001 s for `rep_count` at m = 1500, 0.010-0.011 s at
-m = 20003 and 0.05 s at m = 100003.
+and together, best of 5-60 runs, 0.0006-0.001 s for `rep_count` at
+m = 1500, 0.005-0.008 s at m = 20003, 0.021-0.03 s at m = 100003 and
+0.23-0.31 s at m = 10^6 + 3.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import accumulate, chain, compress, repeat
 from math import gcd, isqrt, lcm
-from operator import add, eq, mod, mul
+from operator import add, mod, mul
 
 from .arith import InexactCount
 from .qseries import QSeries, _product, _x_terms
@@ -110,10 +112,12 @@ def rep_count(Q: TernaryQF, m: int) -> int:
     two, and one with y = z = 0 for itself.
 
     At fixed z, disc is a quadratic in y with second difference -2A, so a
-    line is one C-level `accumulate` of its discs, and C-level maps of
-    `isqrt`, `mul` and `eq` with one `compress` hand Python only the y
-    whose disc is a perfect square: O(m) C-level steps, and Python steps
-    per line and per square, O(sqrt(m)) of each.
+    line is one C-level `accumulate` of its discs.  No disc exceeds 4am,
+    since P >= 0, so the squares s^2 with s <= isqrt(4am) are built once
+    per call as a set, and one C-level map of set lookups with one
+    `compress` hands Python only the y whose disc is a square; `isqrt`
+    runs only there.  That is O(m) C-level steps, and Python steps per
+    line and per square, O(sqrt(m)) of each.
 
     The box bounds are verified on every call rather than trusted (also
     under python -O): the lines are scanned one layer beyond the box, at
@@ -129,6 +133,8 @@ def rep_count(Q: TernaryQF, m: int) -> int:
     a, e, f = Q.a, Q.e, Q.f
     A, E, F = Q._completed_square()
     am4 = 4 * a * m
+    roots = range(isqrt(am4) + 1)
+    squares = set(map(mul, roots, roots))  # every disc is at most 4am
 
     def line(z: int, y0: int, y1: int, ylo: int, yhi: int) -> int:
         """Solutions at z with y0 <= y <= y1, counted twice (once at
@@ -136,10 +142,9 @@ def rep_count(Q: TernaryQF, m: int) -> int:
         step = -E * z - A * (2 * y0 + 1)  # disc(y0 + 1) - disc(y0)
         disc = list(accumulate(range(step, step - 2 * A * (y1 - y0), -2 * A),
                                initial=am4 - (A * y0 + E * z) * y0 - F * z * z))
-        s = list(map(isqrt, map(abs, disc)))
         count = 0
-        for y in compress(range(y0, y1 + 1), map(eq, map(mul, s, s), disc)):
-            B, r = e * z + f * y, s[y - y0]
+        for y in compress(range(y0, y1 + 1), map(squares.__contains__, disc)):
+            B, r = e * z + f * y, isqrt(disc[y - y0])
             for top in {-B - r, -B + r}:  # one root when s = 0
                 if top % (2 * a) == 0:
                     if not ylo <= y <= yhi:

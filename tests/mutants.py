@@ -104,6 +104,22 @@ MUTANTS = (
            "count += 1 if y == z == 0 else 2",
            "count += 2",
            ("tests/test_ternary.py::test_rep_count_matches_the_box_sweep",)),
+    Mutant("rep_count: square set one short", "ternary.py",
+           "    roots = range(isqrt(am4) + 1)\n",
+           "    roots = range(isqrt(am4))\n",
+           ("tests/test_ternary.py::test_rep_count_at_the_largest_square",
+            "tests/test_ternary.py::test_rep_count_matches_reference")),
+    # the chain walk shared by sc_count and sc_count_column
+    Mutant("_heads: bisect_left cuts", "partitions.py",
+           "from bisect import bisect_right\n",
+           "from bisect import bisect_left as bisect_right\n",
+           ("tests/test_partitions.py::test_heads_match_the_recursive_walk",
+            "tests/test_partitions.py::test_sc_count_known_values",
+            "tests/test_partitions.py::test_sc_count_matches_reference_walk")),
+    Mutant("_heads: second table cut at N", "partitions.py",
+           "second[:bisect_right(masses, N - m)]",
+           "second[:bisect_right(masses, N)]",
+           ("tests/test_partitions.py::test_heads_match_the_recursive_walk",)),
     # the packed-product coefficient bound
     Mutant("_bound: len(f) for sum |m|", "qseries.py",
            "prod(sum(abs(m) for _, m in f) for f in factors)",

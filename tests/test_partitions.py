@@ -1,9 +1,14 @@
+from collections import Counter
+from collections.abc import Iterator
+
 import pytest
 
 from sc7core import partitions
 from sc7core.eisenstein import sc7_from_class_number
 from sc7core.partitions import (
     _beta_is_t_core,
+    _chain_tables,
+    _heads,
     c_count,
     conjugate,
     from_diagonal_hooks,
@@ -244,6 +249,39 @@ def test_sc_count_leaves_every_leaf_to_the_hook_test(monkeypatch):
     monkeypatch.setattr(partitions, "_beta_is_t_core", lambda p, t: False)
     for n in range(1, 51):
         assert sc_count(n, 7) == 0, n
+
+
+def _ref_heads(tables, N):
+    """The walk `_heads` replaced: one recursion level per table, down
+    to the empty table list, so one generator per head."""
+    if not tables:
+        yield 0, ()
+        return
+    for m, chain in tables[0]:
+        if m > N:
+            break
+        for mass, chains in _ref_heads(tables[1:], N - m):
+            yield m + mass, (chain,) + chains
+
+
+def test_heads_match_the_recursive_walk():
+    # Tables built at the walk's own bound, as both counters build them,
+    # and at 200, so that the first table is cut too; with and without
+    # the last table, so that 0 to 5 tables are walked.
+    for t in range(1, 12):
+        for N in (0, 1, 2 * t - 1, 2 * t, 2 * t + 1, 200):
+            for tables in (_chain_tables(N, t), _chain_tables(200, t)):
+                for walked in (tables, tables[:-1]):
+                    heads = Counter(_heads(walked, N))
+                    assert heads == Counter(_ref_heads(walked, N)), (t, N, len(walked))
+                    assert all(len(chains) == len(walked) for _, chains in heads), (t, N)
+
+
+def test_heads_is_a_lazy_iterator():
+    tables = _chain_tables(100001, 7)[:-1]
+    heads = _heads(tables, 100001)
+    assert isinstance(heads, Iterator)
+    assert next(heads) == (0, ((), ()))
 
 
 def test_sc_count_column_matches_sc_count():

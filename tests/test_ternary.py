@@ -237,6 +237,15 @@ def test_rep_count_matches_the_box_sweep():
             assert rep_count(Q, m) == _ref_box_rep_count(Q, m), (Q, m)
 
 
+def test_rep_count_at_the_largest_square():
+    # At m = a k^2 the point (+-k, 0, 0) has disc exactly 4am, the largest
+    # square that rep_count looks up.
+    for Q in DECOMPOSITION_FORMS + MIXED_FORMS:
+        for k in range(21):
+            m = Q.a * k * k
+            assert rep_count(Q, m) == _ref_box_rep_count(Q, m), (Q, m)
+
+
 def test_decomposition_constants():
     assert DECOMPOSITION_FORMS == (
         TernaryQF(1, 1, 2, -1, 0, 0),
