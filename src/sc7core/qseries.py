@@ -11,8 +11,7 @@ Python step per coefficient.  `_product` gives sum_i row_i * prod
 factors_i below q^n for dense rows and sparse factors: each row packed
 once, one C-level shifted add of O(n) machine words per term of each
 factor (`_packed`), one read-back.  Its slots are sized by `_bound`,
-the one proved bound on the coefficients of such a product, which the
-eta quotient's own widths use too.
+the one proved bound on the coefficients of such a product.
 
 - `sc_series` multiplies (t-1)/2 theta series sum_x q^(t x^2 - 2 j x)
   (Jacobi's triple product): the first two as one dense row that counts
@@ -23,14 +22,15 @@ eta quotient's own widths use too.
   quotient into one row of Gauss's psi(q^s) = sum_n q^(s n(n+1)/2),
   about sqrt(2N/s) terms below N, and expands every other eta factor by
   Euler's pentagonal number theorem, about 2*sqrt(2N/(3s)) terms for
-  scale s.  It computes the whole quotient packed: the two longest
-  numerator factors as one counted dense row, the rest of the numerator
-  and the denominator each by one shifted add per term, the division in
-  the denominator's own variable x = q^g (q^4 for SC7): its inverse
-  modulo a power of 2 over ceil(N/g) slots, one multiply by it per
-  residue class of the exponent mod g, and an exact check of the
-  result at full length, with every width from `_bound`.  The shifted
-  adds cost O(N^1.5) word operations and the products about O(N^1.58).
+  scale s.  The numerator is one `_product`, as in `sc_series`: the two
+  longest numerator factors as one counted dense row, times the rest.
+  The division runs packed in the denominator's own variable x = q^g
+  (q^4 for SC7): the denominator by one shifted add per term, its
+  inverse modulo a power of 2 over ceil(N/g) slots, one multiply by it
+  per residue class of the exponent mod g.  The quotient is checked
+  exactly, at full length, by multiplying it back with one more
+  `_product` and comparing with the numerator.  The shifted adds cost
+  O(N^1.5) word operations and the products about O(N^1.58).
   It stays the independent check of `sc_series`, though the two share
   Jacobi's triple product (psi is a case of it).
 
@@ -39,10 +39,9 @@ On one core of a 2-vCPU VM (Python 3.11.7, best of 9 runs, 5 at
 at N = 4001, 0.0043 s at 10^4, 0.017 s at 3*10^4, 0.076 s at 10^5,
 0.37 s at 3*10^5, 1.4-1.9 s at 10^6 and 10.5 s at 3*10^6, a fitted
 exponent of about 1.5 from 10^5 on.  The SC7 eta quotient costs about
-0.0027 s at 4000, 0.0084 s at 10^4, 0.036 s at 3*10^4, 0.28 s at 10^5
-and 1.45 s at 3*10^5 (best of 9, 3 at 10^5 and 2 at 3*10^5), against
-0.0046, 0.019, 0.084, 0.65 and 3.9 s for the same division done in q
-over N slots.
+0.0029 s at 4000, 0.0089 s at 10^4, 0.037 s at 3*10^4, 0.065 s at
+4*10^4, 0.25 s at 10^5 and 1.40 s at 3*10^5 (best of 31, 21, 15, 15, 9
+and 7 runs).
 """
 
 from __future__ import annotations
@@ -446,54 +445,43 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     num[j::g] as a series in x, c[j::g] = num_j / D in Z[x]/(x^n_j),
     n_j = len(range(j, N, g)) <= n = ceil(N/g).
 
-    Each part is computed in Z/2^(8k n_j), the image of Z[x]/(x^n_j)
-    under x -> 2^(8k) (`_packed_width` proves the map a ring
-    homomorphism).  The two longest numerator factors form one counted
-    dense row (`_pair_row`); num is the packed row times the other
-    numerator factors, by one shifted add per term (`_packed`), read
-    back once at k bytes into the list that becomes c.  D is the packed
-    1 times the denominator units in x over n slots, again by shifted
-    adds; it is 1 mod 2^(8k), so odd, and so invertible mod 2^(8kn)
-    (`_inverse_2adic`).  Each part num[j::g] is packed at k bytes and
-    multiplied by that inverse once, and its slots are read back in its
-    place as c[j::g].  The intermediates need not fit in a slot: the
-    arithmetic is exact modulo 2^(8k n_j), and only the final
-    coefficients must have |c_e| < 2^(8k-1) to read back.  The split reads num back too, so it
-    is exact only when num's coefficients fit in k bytes; when they do
-    not, a part is wrong and the check below fails.  For g = 1 this is
-    the division in q over N slots.
+    num is built once, exact, as `sc_series` builds its product: the two
+    longest numerator factors as one counted dense row (`_pair_row`),
+    times the other numerator factors in one `_product`.  Each part is
+    computed in Z/2^(8k n_j), the image of Z[x]/(x^n_j) under
+    x -> 2^(8k) (`_packed_width` proves the map a ring homomorphism),
+    starting at the least k that holds every coefficient of num.  D is
+    the packed 1 times the denominator units in x over n slots, by one
+    shifted add per term (`_packed`); it is 1 mod 2^(8k), so odd, and so
+    invertible mod 2^(8kn) (`_inverse_2adic`).  Each part num[j::g] is
+    packed at k bytes and multiplied by that inverse once, and its slots
+    are read back in its place as c[j::g].  The intermediates need not
+    fit in a slot: the arithmetic is exact modulo 2^(8k n_j), and only
+    the final coefficients must have |c_e| < 2^(8k-1) to read back.  For
+    g = 1 this is the division in q over N slots.
 
     No cheap tight bound on the c_e is known in advance, so each width
-    is checked exactly.  Starting at the least width that holds the row
-    (2 bytes for SC7), the read-back c is checked by c * den == num in
-    Z[q]/(q^N), at full length: c is packed again and multiplied by the
-    denominator units in q with the same shifted adds, at a width (k or
-    more) where both sides read back: that of the larger of `_bound`'s
-    bounds on num (the row times the numerator factors outside it) and
-    on c * den.  Only if it is more than k bytes is the row packed and
-    multiplied a second time.  A narrow read-back of num cannot stand
-    in for that bound: an overflowing slot reads back as a wrong value
-    that still lies in range (`_packed_width`'s proof).  Two integer
-    vectors in range pack to the same residue only if they are equal,
-    so the check is exact, and as den is a unit it passes iff c is the
-    quotient.  It uses neither D's packed inverse nor the products by
-    it, so it also catches a fault in those or in the split.  If it
-    fails, k doubles.
+    is checked exactly, by multiplying back: c is accepted when
+    `_product` of c and the denominator units in q, at the width its
+    `_bound` proves, equals num, compared as exact integers at full
+    length.  As den is a unit, c * den = num exactly when c is the
+    quotient.  The check uses neither D's packed inverse nor the split,
+    so it also catches a fault in those.  If it fails, k doubles.
 
     The loop stops: p(n) <= 2^n bounds the coefficients of 1/(q;q)_inf,
     so with r denominator units every coefficient of 1/den below q^N is
     at most C(N - 1 + r, r) 2^(N-1), and every |c_e| at most that times
     `_bound` of 1 times all the numerator factors, which also bounds
-    every coefficient of num, so the split reads num back exactly there.
-    The width of that bound is the last one tried (k grows as
+    every coefficient of num, so the first k is never past it.  The
+    width of that bound is the last one tried (k grows as
     min(2k, last)); a failed check there is a fault, raised as
-    RuntimeError.  The SC7 quotient passes at k = 2; its check runs at 2
-    bytes up to prec 34742 and at 4 bytes beyond, where
-    max|c| * len(den) passes 2^15.  So `_pack` runs at the widths
-    2 (the row), 2, 2, 2, 2 (the four parts) and 2 (c for the check) at
-    prec 20003, and at 2, 2, 2, 2, 2, 4 (the row again) and 4 at 40003:
-    from 34743 on the row is packed twice, which only a tighter proved
-    bound on c would avoid.
+    RuntimeError.  The SC7 quotient passes at k = 2, with one inverse,
+    and num is packed once: `_pack` runs at the widths 2 (the row), 2,
+    2, 2, 2 (the four parts) and 2 (c for the check) at prec 20003, and
+    at 2, 2, 2, 2, 2 and 4 at 40003, where max|c| * len(den) passes
+    2^15 (from prec 34743 on).  From 40799 on, `_bound` of the row times
+    the later factors passes 2^15 too, and the row is packed at 4 bytes,
+    while num itself, and so k, stays at 2.
 
     Cost: O(N^1.5) word operations for the shifted adds, plus the
     inverse and the g products of 8kn-bit integers (Karatsuba, about
@@ -525,21 +513,16 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     n = -(-body // g)
     den_x = [[(e // g, m) for e, m in terms] for terms in den]
     num.sort(key=len, reverse=True)
-    row, rest = _pair_row(num[:2], body), num[2:]
-    num_bound = _bound([(row, rest)])
+    numerator = _product([(_pair_row(num[:2], body), num[2:])], body)
     last = _packed_width((_bound([([1], num)]) * comb(body - 1 + len(den), len(den))) << (body - 1))
-    k = _packed_width(_bound([(row, [])]))
+    k = _packed_width(_bound([(numerator, [])]))
+    c = [0] * body
     while True:
-        a = _packed(_pack(row, k), rest, k, body)
         inverse = _inverse_2adic(_packed(1, den_x, k, n), 8 * k * n)
-        c = _unpack(a, k, body)
         for j in range(g):
-            part = c[j::g]
+            part = numerator[j::g]
             c[j::g] = _unpack(_pack(part, k) * inverse, k, len(part))
-        check = max(k, _packed_width(max(num_bound, _bound([(c, den)]))))
-        if check > k:
-            a = _packed(_pack(row, check), rest, check, body)
-        if (_packed(_pack(c, check), den, check, body) - a) & ((1 << 8 * check * body) - 1) == 0:
+        if _product([(c, den)], body) == numerator:
             return QSeries([0] * shift + c)
         if k == last:
             raise RuntimeError(f"eta quotient {spec.factors} failed its exact check at the proved width of {k} bytes")

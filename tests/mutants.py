@@ -148,6 +148,27 @@ MUTANTS = (
            "if exponent > 0)) or 1",
            ("tests/test_qseries.py::test_sc7_quotient_holds_at_the_first_width",
             "tests/test_qseries.py::test_sc7_inverse_runs_over_a_quarter_of_the_body")),
+    # the eta quotient's width loop: the division starts at the numerator's
+    # width, and c is checked by multiplying it back on the shared kernel
+    Mutant("eta loop: division starts at 2 bytes", "qseries.py",
+           "    k = _packed_width(_bound([(numerator, [])]))\n",
+           "    k = 2\n",
+           ("tests/test_qseries.py::test_eta_quotient_matches_reference_in_wide_slots",)),
+    Mutant("eta loop: division starts at the numerator's proved bound", "qseries.py",
+           "    k = _packed_width(_bound([(numerator, [])]))\n",
+           "    k = _packed_width(_bound([([1], num)]))\n",
+           ("tests/test_qseries.py::test_sc7_quotient_holds_at_the_first_width",
+            "tests/test_qseries.py::test_sc7_numerator_packed_once[40003-2-80]",
+            "tests/test_qseries.py::test_eta_quotient_divides_in_the_denominator_variable[spec4-12]")),
+    Mutant("eta check: read back at the division width", "qseries.py",
+           "        if _product([(c, den)], body) == numerator:\n",
+           "        if _unpack(_packed(_pack(c, k), den, k, body), k, body) == numerator:\n",
+           ("tests/test_qseries.py::test_eta_quotient_matches_reference_in_wide_slots",)),
+    Mutant("eta loop: k quadruples", "qseries.py",
+           "        k = min(2 * k, last)\n",
+           "        k = min(4 * k, last)\n",
+           ("tests/test_qseries.py::test_eta_quotient_matches_reference_in_wide_slots",
+            "tests/test_qseries.py::test_eta_quotient_check_alone_rejects_a_faulty_split")),
     # the design rules' cases
     Mutant("exit codes: ValueError first", "cli.py",
            "_EXIT_CODES = {HypothesisViolation: 2, InexactCount: 3, ValueError: 1}",

@@ -220,6 +220,18 @@ def _ref_eta_quotient_series(spec, prec):
     return (0,) * shift + tuple(c)
 
 
+def _ref_numerator(spec, body):
+    # the body of the spec's positive eta factors alone, in q below
+    # q^body: the numerator of a spec with no psi pair
+    c = [0] * body
+    c[0] = 1
+    for scale, exponent in spec.factors:
+        for m in range(scale, body, scale):
+            for _ in range(max(exponent, 0)):
+                _ref_mul_binomial(c, m, -1)
+    return c
+
+
 def _ref_pentagonal_eta_series(spec, prec):
     # eta_quotient_series before it paired eta(2s tau)^2 / eta(s tau) into
     # psi(q^s): every factor a pentagonal unit, the numerator bounded by the
@@ -328,11 +340,12 @@ def test_eta_quotient_pairs_into_psi(spec, scales):
 
 
 # eta(tau)^-24 eta(2 tau)^24 at precision 200, which pairs into
-# psi(q)^12 (q^2; q^2)^12 with no denominator: its coefficients reach far
-# beyond 2^63, so the quotient fails its exact check at widths 2, 4, 8
-# and 16 and reads back in slots of 32 bytes, wider than any array
-# typecode.  The reference takes 2-3 s at the precision 602 of
-# _precisions and 0.3 s at 200, so this spec is checked at 200 only.
+# psi(q)^12 / (q; q)^12: the numerator psi(q)^12 needs slots of 8 bytes,
+# where the division starts, and the quotient's coefficients reach far
+# beyond 2^63, so it fails its exact check at widths 8 and 16 and reads
+# back in slots of 32 bytes, wider than any array typecode.  The
+# reference takes 2-3 s at the precision 602 of _precisions and 0.3 s
+# at 200, so this spec is checked at 200 only.
 WIDE_SPEC = EtaQuotientSpec(((1, -24), (2, 24)))
 
 
@@ -357,9 +370,13 @@ def test_eta_quotient_matches_reference_in_wide_slots(monkeypatch):
     for _ in range(24):
         _ref_div_sparse(c, _euler_terms(1, body))
     assert max(map(abs, c)) >= 2**63
+    num = [1] + [0] * (body - 1)
+    for _ in range(12):
+        _ref_mul_sparse(num, [(e, 1) for e in accumulate(range(1, body)) if e < body])
+    assert 2**31 <= max(map(abs, num)) < 2**63
     widths = _count_widths(monkeypatch, body, 1)
     assert eta_quotient_series(WIDE_SPEC, 200).coeffs == _ref_eta_quotient_series(WIDE_SPEC, 200)
-    assert widths == [2, 4, 8, 16, 32]
+    assert widths == [8, 16, 32]
 
 
 def _record_packs(monkeypatch):
@@ -379,12 +396,12 @@ def _record_inverse_bits(monkeypatch):
 
 def test_sc7_quotient_holds_at_the_first_width(monkeypatch):
     # one 2-adic inverse at k = 2: the check passes at the first width,
-    # which is what makes the route fast.  At 2 bytes the numerator's row
-    # is packed once, the read-back numerator once per residue class mod
-    # 4 (lengths 5001, 5000, 5000, 5000 of body 20001), and the quotient
-    # once: the numerator bound max|row| * prod len(rest) stays below
-    # 2^15, where the product of all the unit lengths would pack the
-    # numerator again at 8 bytes.
+    # which is what makes the route fast.  Every pack is at 2 bytes, and
+    # each is made once: the numerator's row in its one _product (its
+    # bound max|row| * prod len(rest) stays below 2^15, where the product
+    # of all the unit lengths would take 8 bytes), each residue class mod
+    # 4 of the numerator (lengths 5001, 5000, 5000, 5000 of body 20001),
+    # and the quotient for the check.
     widths = _count_widths(monkeypatch, 20001, 4)
     packs = _record_packs(monkeypatch)
     eta = eta_quotient_series(SC7_ETA_QUOTIENT, 20003)
@@ -393,16 +410,21 @@ def test_sc7_quotient_holds_at_the_first_width(monkeypatch):
     assert eta[20002] == 64
 
 
-def test_sc7_numerator_packed_again_past_the_2_byte_check(monkeypatch):
-    # from prec 34743 max|c| * len(den) passes 2^15, so the check runs at
-    # 4 bytes and packs the row again there: the division still holds at
-    # k = 2, the numerator is packed at 2 and at 4 bytes
-    widths = _count_widths(monkeypatch, 40001, 4)
+@pytest.mark.parametrize("prec, row, value", [(40003, 2, 80), (100003, 4, 186)])
+def test_sc7_numerator_packed_once(prec, row, value, monkeypatch):
+    # from prec 34743 max|c| * len(den) passes 2^15, so the check packs c
+    # at 4 bytes, and from 40799 the row's bound times the later factors
+    # does too, so the numerator's row is packed at 4 bytes; the numerator
+    # is still packed once, and it fits in 2 bytes, so the division holds
+    # with one inverse at k = 2
+    body = prec - 2
+    widths = _count_widths(monkeypatch, body, 4)
     packs = _record_packs(monkeypatch)
-    eta = eta_quotient_series(SC7_ETA_QUOTIENT, 40003)
+    eta = eta_quotient_series(SC7_ETA_QUOTIENT, prec)
+    quarter = body // 4
     assert widths == [2]
-    assert packs == [(2, 40001), (2, 10001), (2, 10000), (2, 10000), (2, 10000), (4, 40001), (4, 40001)]
-    assert eta[40002] == 80
+    assert packs == [(row, body), (2, quarter + 1), (2, quarter), (2, quarter), (2, quarter), (4, body)]
+    assert eta[prec - 1] == value
 
 
 def test_sc7_inverse_runs_over_a_quarter_of_the_body(monkeypatch):
@@ -418,7 +440,8 @@ def test_sc7_inverse_runs_over_a_quarter_of_the_body(monkeypatch):
 # Specs for the division in x = q^g, g the gcd of the denominator
 # scales left after the psi pairing, each with its g: the numerator has
 # terms in every residue class mod g, and the quotient is put together
-# from g products of ceil(body/g) slots.
+# from g products of ceil(body/g) slots.  None of them pairs into psi, so
+# its numerator is the product of its positive factors (_ref_numerator).
 SPLIT_SPECS = [
     (EtaQuotientSpec(((1, 6), (2, -1), (4, -1), (6, 4))), 2),
     (EtaQuotientSpec(((1, 9), (3, -1), (6, -1))), 3),
@@ -433,14 +456,14 @@ SPLIT_SPECS = [
 def test_eta_quotient_divides_in_the_denominator_variable(spec, g, monkeypatch):
     # every body mod g, from body 1 and bodies below g up, and again
     # at bodies near 120; the first inverse runs over ceil(body/g) slots
-    # at the width of the first pack, the numerator's row
+    # at the width of the numerator's largest |coefficient|
     shift = int(spec.leading_power)
-    bits, packs = _record_inverse_bits(monkeypatch), _record_packs(monkeypatch)
+    bits = _record_inverse_bits(monkeypatch)
     for body in [*range(1, 2 * g + 2), *range(120, 120 + g)]:
         bits.clear()
-        packs.clear()
         assert eta_quotient_series(spec, shift + body).coeffs == _ref_eta_quotient_series(spec, shift + body), body
-        assert bits[0] == 8 * packs[0][0] * -(-body // g), body
+        width = _packed_width(max(map(abs, _ref_numerator(spec, body))))
+        assert bits[0] == 8 * width * -(-body // g), body
 
 
 def test_eta_quotient_raises_when_the_check_fails(monkeypatch):
@@ -461,10 +484,36 @@ def test_eta_quotient_raises_when_the_check_fails(monkeypatch):
     assert 1 < len(calls) < 10
 
 
+def test_eta_quotient_check_alone_rejects_a_faulty_split(monkeypatch):
+    # the parts' read-back gives part 1 (exponents 1 mod 4) one
+    # coefficient off at every width, with the real inverse and products:
+    # the check, which multiplies c back by the denominator on the shared
+    # kernel, fails at each width, and the loop raises at the proved
+    # width, 8 bytes for SC7 at body 38, where the numerator's factors
+    # have 9, 4, 3 and 2 terms and (216 * C(38, 1)) << 37 < 2^51
+    body = 38
+    bits = _record_inverse_bits(monkeypatch)
+    parts = []
+
+    def faulty(x, k, n):
+        values = _unpack(x, k, n)
+        if n < body:
+            parts.append(n)
+            if len(parts) % 4 == 2:
+                values[0] += 1
+        return values
+
+    monkeypatch.setattr(qseries, "_unpack", faulty)
+    with pytest.raises(RuntimeError, match="proved width of 8 bytes"):
+        eta_quotient_series(SC7_ETA_QUOTIENT, body + 2)
+    assert bits == [8 * k * 10 for k in (2, 4, 8)]
+    assert parts == [10, 10, 9, 9] * 3
+
+
 def test_eta_quotient_pure_product_beyond_the_first_width():
     # eta(tau)^24 = sum tau(n) q^n, Ramanujan's tau: no denominator, and
-    # coefficients past 2^15, so the first width reads back only their
-    # residues and the check must see that num itself does not fit
+    # coefficients past 2^15, so the division starts at 4 bytes, the
+    # width of the numerator itself, not at 2
     tau = (1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920,
            534612, -370944, -577738, 401856, 1217160, 987136)
     assert eta_quotient_series(EtaQuotientSpec(((1, 24),)), 17).coeffs == (0,) + tau
