@@ -3,15 +3,15 @@ oracle.
 
 Partitions are plain tuples of nonincreasing positive parts; the empty
 tuple is the unique partition of 0.  A self-conjugate partition is
-rebuilt from its diagonal hook lengths, distinct odd numbers
-d_1 > d_2 > ... (`from_diagonal_hooks`).
+named by its diagonal hook lengths, distinct odd numbers d_1 > d_2 > ...
 
 `sc_count` (one n) and `sc_count_column` (every n up to N) count
 self-conjugate t-cores over the same candidates: `_chain_tables` holds,
 per residue pair, the full diagonal-hook chains that rules (i)-(iii)
-allow, `_heads` walks every choice of one chain from each table but the
-last, and the counters differ only in how they read the last table.
-The full hook test decides every candidate.
+allow, and `_heads` walks every choice of one chain per table.  The
+column walks all the tables; `sc_count` walks all but the last and
+indexes the last by the mass still missing.  The full hook test,
+`_passes_hook_test` on the diagonal hooks, decides every candidate.
 """
 
 from __future__ import annotations
@@ -71,32 +71,6 @@ def partitions_of(n: int, max_part: int | None = None) -> Iterator[tuple[int, ..
     for first in range(max_part, 0, -1):
         for rest in partitions_of(n - first, first):
             yield (first,) + rest
-
-
-def from_diagonal_hooks(hooks: Sequence[int]) -> tuple[int, ...]:
-    """Self-conjugate partition with the given diagonal hook lengths.
-
-    hooks must be distinct odd positive integers in decreasing order; hook
-    i (1-indexed) wraps around the diagonal cell (i, i), so row i has
-    length i + (hooks[i] - 1)/2 down to the diagonal, and the rows below
-    the last diagonal cell are forced by symmetry.
-    """
-    k = len(hooks)
-    if k == 0:
-        return ()
-    for i, d in enumerate(hooks):
-        if d < 1 or d % 2 == 0:
-            raise ValueError(f"diagonal hooks must be odd and positive, got {d}")
-        if i and hooks[i - 1] <= d:
-            raise ValueError("diagonal hooks must be strictly decreasing")
-    parts = [i + 1 + (hooks[i] - 1) // 2 for i in range(k)]
-    out = parts[:]
-    idx = k - 1
-    for j in range(k + 1, parts[0] + 1):
-        while idx >= 0 and parts[idx] < j:
-            idx -= 1
-        out.append(idx + 1)
-    return tuple(out)
 
 
 def _chain_tables(N: int, t: int) -> list[list[tuple[int, tuple[int, ...]]]]:
@@ -166,8 +140,19 @@ def _joined(chains) -> tuple[int, ...]:
 
 
 def _passes_hook_test(hooks: tuple[int, ...], t: int) -> bool:
-    # the full hook test on the partition with these diagonal hooks
-    return _beta_is_t_core(from_diagonal_hooks(sorted(hooks, reverse=True)), t)
+    """The full t-core test on the self-conjugate partition with these
+    diagonal hooks, in any order, read off its Frobenius coordinates
+    A = {(d - 1)/2}.  Its beta-set is {a + 1/2 : a in A} plus
+    {-b - 1/2 : b >= 0, b not in A}, and it is a t-core iff moving any
+    bead t places down lands on a bead (James and Kerber, 2.7): for every
+    a in A, a - t is in A if a >= t, and t - 1 - a is not in A if a < t.
+    The beads below zero ask the first rule read backwards.  A repeated,
+    even or non-positive hook raises ValueError."""
+    frobenius = {d >> 1 for d in hooks}
+    if len(frobenius) < len(hooks) or not all(d > 0 and d & 1 for d in hooks):
+        raise ValueError(f"diagonal hooks must be distinct, odd and positive, got {hooks}")
+    return all(a - t in frobenius if a >= t else t - 1 - a not in frobenius
+               for a in frobenius)
 
 
 def sc_count(n: int, t: int) -> int:
@@ -177,12 +162,13 @@ def sc_count(n: int, t: int) -> int:
     indexed by mass, so a head of mass h tests only the entries of mass
     n - h.
 
-    Best of 12-40 runs (Python 3.11.7, 2-vCPU VM whose speed drifts by
-    about ±30% between runs): sc_count(n, 7) takes about 0.9-1.6 ms at
-    n = 1500, 4.0-6.5 ms at 8001, 10-12 ms at 30001, 26-34 ms at 100001
-    and 0.13-0.20 s at 300001; from n = 30001 on, the hook tests of its
-    few candidates take over half of that.  For every n up to a bound at once,
-    `sc_count_column` tests each candidate once instead of once per call.
+    Best of 3-40 runs (Python 3.11.7, 2-vCPU VM whose speed drifts by
+    about ±30% between runs): sc_count(n, 7) takes about 0.3-0.5 ms at
+    n = 1500, 1.3-2.0 ms at 8001, 3.8-6.7 ms at 30001, 11-20 ms at
+    100001, 40-52 ms at 300001 and 0.14-0.16 s at 10^6 + 1; the hook
+    tests of its few candidates take about a quarter to a third of that.
+    For every n up to a bound at once, `sc_count_column` tests each
+    candidate once instead of once per call.
     """
     if n < 0:
         raise ValueError("n must be non-negative")
@@ -200,28 +186,22 @@ def sc_count(n: int, t: int) -> int:
 def sc_count_column(N: int, t: int) -> list[int]:
     """sc_count(n, t) for n = 0..N, as a list indexed by n.
 
-    Candidates and walk as in the module docstring; the last table is
-    looped over in order of mass for every head, and each candidate
-    that passes the hook test adds one at its mass.  Memory stays O(N)
-    plus the chains.  The hook tests lead its cost, not the walk.  Same
-    runs as `sc_count`'s: about 0.011-0.013 s at N = 300, 0.26-0.38 s at
-    N = 1500 and 1.1-1.6 s at N = 3000, where one sc_count call per n
-    takes 0.46-0.72 and 2.1 s at the last two.
+    Candidates and walk as in the module docstring, over every table;
+    each candidate that passes the hook test adds one at its mass.
+    Memory stays O(N) plus the chains.  The hook tests, not the walk,
+    take about four fifths of its cost.  Same runs as `sc_count`'s: about
+    4-7 ms at N = 300, 0.060-0.068 s at N = 1500 and 0.21-0.23 s at
+    N = 3000, where one sc_count call per n takes 0.19-0.24 and
+    0.79-1.1 s at the last two.
     """
     if N < 0:
         raise ValueError("N must be non-negative")
     if t < 1:
         raise ValueError(f"t must be a positive integer, got {t}")
-    tables = _chain_tables(N, t)
-    last = tables.pop()
     column = [0] * (N + 1)
-    for mass, chains in _heads(tables, N):
-        hooks = _joined(chains)
-        for m, chain in last:
-            if mass + m > N:
-                break
-            if _passes_hook_test(hooks + chain, t):
-                column[mass + m] += 1
+    for mass, chains in _heads(_chain_tables(N, t), N):
+        if _passes_hook_test(_joined(chains), t):
+            column[mass] += 1
     return column
 
 

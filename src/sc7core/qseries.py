@@ -51,7 +51,6 @@ from array import array
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate, count, repeat, takewhile
 from math import comb, gcd, prod
 from operator import sub
@@ -409,16 +408,18 @@ class EtaQuotientSpec:
                 raise ValueError(f"eta argument scale must be positive, got {scale}")
             if exponent == 0:
                 raise ValueError("zero exponents are pointless; drop the factor")
-        lead = self.leading_power
-        if lead.denominator != 1 or lead < 0:
+        total = sum(s * e for s, e in self.factors)
+        if total % 24 or total < 0:
+            g = gcd(total, 24)
+            power = total // 24 if g == 24 else f"{total // g}/{24 // g}"
             raise ValueError(
-                f"net q-power of the eta quotient is {lead}, "
+                f"net q-power of the eta quotient is {power}, "
                 "need a non-negative integer"
             )
 
     @property
-    def leading_power(self) -> Fraction:
-        return sum((Fraction(s * e, 24) for s, e in self.factors), Fraction(0))
+    def leading_power(self) -> int:
+        return sum(s * e for s, e in self.factors) // 24
 
 
 def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
@@ -492,7 +493,7 @@ def eta_quotient_series(spec: EtaQuotientSpec, prec: int) -> QSeries:
     """
     if prec < 1:
         raise ValueError("precision must be positive")
-    shift = int(spec.leading_power)
+    shift = spec.leading_power
     body = prec - shift
     if body <= 0:
         return QSeries([0] * prec)

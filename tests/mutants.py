@@ -120,6 +120,17 @@ MUTANTS = (
            "second[:bisect_right(masses, N - m)]",
            "second[:bisect_right(masses, N)]",
            ("tests/test_partitions.py::test_heads_match_the_recursive_walk",)),
+    # the t-core test on the Frobenius coordinates of the diagonal hooks
+    Mutant("hook test: a > t", "partitions.py",
+           "a - t in frobenius if a >= t else",
+           "a - t in frobenius if a > t else",
+           ("tests/test_partitions.py::test_hook_test_matches_the_rebuilt_partition",)),
+    Mutant("hook test: t - a", "partitions.py",
+           "t - 1 - a not in frobenius",
+           "t - a not in frobenius",
+           ("tests/test_partitions.py::test_hook_test_matches_the_rebuilt_partition",
+            "tests/test_partitions.py::test_sc_count_known_values",
+            "tests/test_partitions.py::test_sc_count_matches_reference_walk")),
     # the packed-product coefficient bound
     Mutant("_bound: len(f) for sum |m|", "qseries.py",
            "prod(sum(abs(m) for _, m in f) for f in factors)",

@@ -1,5 +1,6 @@
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
+from itertools import combinations
 
 import pytest
 
@@ -9,9 +10,9 @@ from sc7core.partitions import (
     _beta_is_t_core,
     _chain_tables,
     _heads,
+    _passes_hook_test,
     c_count,
     conjugate,
-    from_diagonal_hooks,
     is_t_core,
     partitions_of,
     sc_count,
@@ -90,6 +91,32 @@ def test_t_core_invariant_under_conjugation():
                 assert is_t_core(p, t) == is_t_core(conjugate(p), t)
 
 
+def from_diagonal_hooks(hooks: Sequence[int]) -> tuple[int, ...]:
+    """Self-conjugate partition with the given diagonal hook lengths.
+
+    hooks must be distinct odd positive integers in decreasing order; hook
+    i (1-indexed) wraps around the diagonal cell (i, i), so row i has
+    length i + (hooks[i] - 1)/2 down to the diagonal, and the rows below
+    the last diagonal cell are forced by symmetry.
+    """
+    k = len(hooks)
+    if k == 0:
+        return ()
+    for i, d in enumerate(hooks):
+        if d < 1 or d % 2 == 0:
+            raise ValueError(f"diagonal hooks must be odd and positive, got {d}")
+        if i and hooks[i - 1] <= d:
+            raise ValueError("diagonal hooks must be strictly decreasing")
+    parts = [i + 1 + (hooks[i] - 1) // 2 for i in range(k)]
+    out = parts[:]
+    idx = k - 1
+    for j in range(k + 1, parts[0] + 1):
+        while idx >= 0 and parts[idx] < j:
+            idx -= 1
+        out.append(idx + 1)
+    return tuple(out)
+
+
 def test_from_diagonal_hooks_roundtrip():
     # rebuilt partitions are self-conjugate with exactly the requested
     # diagonal hooks
@@ -120,6 +147,26 @@ def test_from_diagonal_hooks_rejects():
         from_diagonal_hooks((5, 5))
     with pytest.raises(ValueError):
         from_diagonal_hooks((5, -1))
+
+
+def test_hook_test_matches_the_rebuilt_partition():
+    # every set of distinct odd hooks up to 25, in both orders, against
+    # the first-column test on the partition they build
+    odd = range(1, 26, 2)
+    for k in range(len(odd) + 1):
+        for hooks in combinations(odd, k):
+            for t in range(1, 12):
+                expected = _beta_is_t_core(from_diagonal_hooks(sorted(hooks, reverse=True)), t)
+                assert _passes_hook_test(hooks, t) == expected, (hooks, t)
+                assert _passes_hook_test(hooks[::-1], t) == expected, (hooks, t)
+
+
+@pytest.mark.parametrize("hooks", [(5, 5), (3, 7, 3), (4,), (0,), (5, -1)])
+def test_hook_test_rejects_what_names_no_partition(hooks):
+    # a repeated, even or non-positive hook is a fault in the candidates,
+    # never a partition that fails the test
+    with pytest.raises(ValueError):
+        _passes_hook_test(hooks, 7)
 
 
 def test_sc_count_matches_naive_filter():
@@ -237,16 +284,17 @@ def test_sc_count_matches_class_number_above_property_range():
 def test_sc_count_leaves_every_leaf_to_the_hook_test(monkeypatch):
     calls = []
 
-    def counting(p, t):
-        calls.append(p)
-        return _beta_is_t_core(p, t)
+    def counting(hooks, t):
+        calls.append(hooks)
+        return _passes_hook_test(hooks, t)
 
-    monkeypatch.setattr(partitions, "_beta_is_t_core", counting)
+    monkeypatch.setattr(partitions, "_passes_hook_test", counting)
     assert sc_count(2923, 7) == 25
     # every union of full chains is a t-core, so no candidate is rejected
     assert len(calls) == 25
+    assert all(sum(hooks) == 2923 for hooks in calls)
 
-    monkeypatch.setattr(partitions, "_beta_is_t_core", lambda p, t: False)
+    monkeypatch.setattr(partitions, "_passes_hook_test", lambda hooks, t: False)
     for n in range(1, 51):
         assert sc_count(n, 7) == 0, n
 
@@ -298,34 +346,37 @@ def test_sc_count_column_matches_sc_count():
 def test_sc_count_column_leaves_every_candidate_to_the_hook_test(monkeypatch):
     calls = []
 
-    def counting(p, t):
-        calls.append(p)
-        return _beta_is_t_core(p, t)
+    def counting(hooks, t):
+        calls.append(hooks)
+        return _passes_hook_test(hooks, t)
 
-    monkeypatch.setattr(partitions, "_beta_is_t_core", counting)
+    monkeypatch.setattr(partitions, "_passes_hook_test", counting)
     column = sc_count_column(300, 7)
     # every union of full chains is a t-core, so no candidate is rejected
     assert len(calls) == sum(column)
+    assert Counter(sum(hooks) for hooks in calls) == {n: c for n, c in enumerate(column) if c}
 
-    monkeypatch.setattr(partitions, "_beta_is_t_core", lambda p, t: False)
+    monkeypatch.setattr(partitions, "_passes_hook_test", lambda hooks, t: False)
     assert sc_count_column(50, 7)[1:] == [0] * 50
 
 
 def test_both_counters_test_the_same_candidates(monkeypatch):
-    # the size-n candidates of one column are exactly those of sc_count(n, t)
+    # the size-n candidates of one column are exactly those of
+    # sc_count(n, t); a self-conjugate partition's size is the sum of its
+    # diagonal hooks, and the order of the hooks is no part of a candidate
     tested = []
 
-    def recording(p, t):
-        tested.append(p)
-        return _beta_is_t_core(p, t)
+    def recording(hooks, t):
+        tested.append(tuple(sorted(hooks)))
+        return _passes_hook_test(hooks, t)
 
-    monkeypatch.setattr(partitions, "_beta_is_t_core", recording)
+    monkeypatch.setattr(partitions, "_passes_hook_test", recording)
     for t in (1, 2, 7):
         tested.clear()
         column = sc_count_column(120, t)
         by_size: dict[int, list[tuple[int, ...]]] = {}
-        for p in tested:
-            by_size.setdefault(sum(p), []).append(p)
+        for hooks in tested:
+            by_size.setdefault(sum(hooks), []).append(hooks)
         for n in range(121):
             tested.clear()
             assert sc_count(n, t) == column[n], (n, t)
