@@ -21,11 +21,15 @@ so the weighted form count `hurwitz(D)` is h(-D)/(u/2) as well.
 
 Both form routines sweep a <= sqrt(D/3) and find the b of each a as the
 square roots of -D mod 4a (Cohen, section 5.3); this is exact and needs
-no GRH.  The roots mod each prime power are solved once per call, by
-one rule: Tonelli-Shanks at q = p for odd p not dividing D, and at every
-other q a lift of the roots mod q/p, keeping those of the p residues
-x + t*q/p that still solve the congruence.  Since q <= sqrt(D/3), a lift
-for odd p not dividing D (q = p^k, k >= 2) needs p <= (D/3)^(1/4).
+no GRH.  The roots mod each prime power q depend on D only through
+-D mod q, and are memoised per process by that residue, at most 2^16
+entries.  They come from one rule: Tonelli-Shanks at q = p for odd p not
+dividing D, and at every other q a lift of the roots mod q/p, keeping
+those of the p residues x + t*q/p that still solve the congruence.
+Since q <= sqrt(D/3), a lift for odd p not dividing D (q = p^k, k >= 2)
+needs p <= (D/3)^(1/4).  Each a is factored by a smallest-prime-factor
+table: one shared table, built at import and only read, serves every D
+below about 5e7 (sqrt(D/3) < 4096); a larger D builds its own per call.
 
 `reduced_forms(D)` lists every form: for each a the roots mod 4a are
 joined by the Chinese remainder theorem and read off (`_forms`).  It
@@ -62,6 +66,7 @@ D = 28000084 = 4 * 7 * 1000003, where `sc7 1000001 --route cor2` takes
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
@@ -97,6 +102,17 @@ def _check_discriminant(D: int) -> None:
         )
 
 
+# The smallest prime factor of every m < 4096, built once and only read:
+# it serves every D with sqrt(D/3) < 4096, that is D below about 5e7.
+_SPF = tuple(smallest_prime_factors(4095))
+
+
+def _spf_table(amax: int) -> Sequence[int]:
+    """A smallest-prime-factor table covering 0..amax: the shared `_SPF`
+    where it does, else one built for this call."""
+    return _SPF if amax < len(_SPF) else smallest_prime_factors(amax)
+
+
 def _sqrt_mod_prime(n: int, p: int) -> int:
     """A square root of n mod the odd prime p, for n a nonzero quadratic
     residue mod p (Tonelli-Shanks)."""
@@ -120,61 +136,58 @@ def _sqrt_mod_prime(n: int, p: int) -> int:
     return r
 
 
-def _roots_mod_prime_power(D: int, p: int, q: int, roots: dict) -> list[int]:
-    """All x in [0, q) with x^2 = -D mod q, for q a power of the prime p.
+@lru_cache(maxsize=1 << 16)
+def _roots_mod_prime_power(n: int, p: int, q: int) -> tuple[int, ...]:
+    """All x in [0, q) with x^2 = n mod q, for q a power of the prime p
+    and n in [0, q); the forms ask with n = -D mod q.
 
-    `roots` caches the answer by q and must hold {1: [0]}.  At q = p for
-    odd p not dividing D, Tonelli-Shanks gives the two roots, or none.
-    Every other q is lifted from q/p: each root x mod q/p stands for the
-    p residues x + t*q/p mod q, and those that still solve the congruence
-    are kept, p steps per root mod q/p.  The forms ask only for q <= a <=
+    The roots depend on D only through that residue, so they are
+    memoised per process by (n, p, q), for the last 2^16 triples:
+    `verify` at its default bounds asks 17455 times for 1559 of them, and
+    one H(-D) at D = 2.8e13 fills 37389, about 4 MB.
+
+    At q = p for odd p and n != 0 (p not dividing D), Tonelli-Shanks gives
+    the two roots, or none.  Every other q is lifted from q/p, at the
+    residue n mod q/p: each root x mod q/p stands for the p residues
+    x + t*q/p mod q, and those that still solve the congruence are kept,
+    p steps per root mod q/p.  The forms ask only for q <= a <=
     sqrt(D/3), so a lift for odd p not dividing D (q = p^k, k >= 2) needs
     p <= (D/3)^(1/4).
     """
-    xs = roots.get(q)
-    if xs is not None:
-        return xs
-    if q == p and p != 2 and D % p:
-        n = -D % p
-        xs = [x := _sqrt_mod_prime(n, p), p - x] if pow(n, (p - 1) // 2, p) == 1 else []
-    else:
-        r = q // p
-        xs = [y for x in _roots_mod_prime_power(D, p, r, roots)
-              for y in range(x, q, r) if (y * y + D) % q == 0]
-    roots[q] = xs
-    return xs
+    if q == 1:
+        return (0,)
+    if q == p and p != 2 and n:
+        return (x := _sqrt_mod_prime(n, p), p - x) if pow(n, (p - 1) // 2, p) == 1 else ()
+    r = q // p
+    return tuple([y for x in _roots_mod_prime_power(n % r, p, r)
+                  for y in range(x, q, r) if (y * y - n) % q == 0])
 
 
-def _roots_mod_4a(D: int, a: int, spf: list[int], roots: dict) -> list[int]:
-    """All x in [0, 4a) with x^2 = -D mod 4a, or [] if there is none.
+def _roots_mod_4a(D: int, a: int, spf: Sequence[int]) -> Sequence[int]:
+    """All x in [0, 4a) with x^2 = -D mod 4a; empty if there is none.
 
     With a = 2^v * a' (a' odd), 4a = 2^(v+2) * a', and a' is factored by
     `spf`, a smallest-prime-factor table; the roots mod each prime power
-    come from `_roots_mod_prime_power` (cached in `roots`) and the Chinese
-    remainder theorem joins them.
+    q come from `_roots_mod_prime_power` at the residue -D mod q, and the
+    Chinese remainder theorem joins them.
     """
-    # The cache is read here before any call: this runs once per a.
     v = (a & -a).bit_length() - 1
     modulus, rest = 4 << v, a >> v
-    xs = roots.get(modulus)
-    if xs is None:
-        xs = _roots_mod_prime_power(D, 2, modulus, roots)
+    xs = _roots_mod_prime_power(-D % modulus, 2, modulus)
     while rest > 1 and xs:
         p = q = spf[rest]
         rest //= p
         while rest % p == 0:
             rest //= p
             q *= p
-        ys = roots.get(q)
-        if ys is None:
-            ys = _roots_mod_prime_power(D, p, q, roots)
+        ys = _roots_mod_prime_power(-D % q, p, q)
         inv = pow(modulus, -1, q)
         xs = [x + modulus * ((y - x) * inv % q) for x in xs for y in ys]
         modulus *= q
     return xs
 
 
-def _forms(D: int, a_range: range, spf: list[int], roots: dict):
+def _forms(D: int, a_range: range, spf: Sequence[int]):
     """Yield the reduced forms (a, b, c) of discriminant -D with a in
     a_range, in lexicographic order.
 
@@ -185,7 +198,7 @@ def _forms(D: int, a_range: range, spf: list[int], roots: dict):
     """
     for a in a_range:
         two_a, four_a = 2 * a, 4 * a
-        bs = [x if x <= a else x - two_a for x in _roots_mod_4a(D, a, spf, roots) if x < two_a]
+        bs = [x if x <= a else x - two_a for x in _roots_mod_4a(D, a, spf) if x < two_a]
         bs.sort()
         for b in bs:
             c = (b * b + D) // four_a
@@ -202,14 +215,13 @@ def reduced_forms(D: int) -> list[BinaryQF]:
     = D, which bounds the sweep over a.
 
     For each a the candidates b are the square roots of -D mod 4a, listed
-    directly instead of tested one by one (`_forms`); each prime power
-    is solved once per call.  Cost: O(sqrt(D) log D) steps plus one per
-    candidate root.
+    directly instead of tested one by one (`_forms`), from the memoised
+    roots mod each prime power.  Cost: O(sqrt(D) log D) steps plus one
+    per candidate root.
     """
     _check_discriminant(D)
     amax = isqrt(D // 3)
-    spf = smallest_prime_factors(amax)
-    return list(_forms(D, range(1, amax + 1), spf, {1: [0]}))
+    return list(_forms(D, range(1, amax + 1), _spf_table(amax)))
 
 
 def _root_count(D: int, p: int, k: int) -> int:
@@ -241,18 +253,19 @@ def _root_count(D: int, p: int, k: int) -> int:
     return units * p ** (e // 2)
 
 
-def _odd_root_counts(D: int, spf: list[int]) -> list[int]:
-    """N(m) = #{x mod m : x^2 = -D mod m} at every odd m < len(spf), 0 at
+def _odd_root_counts(D: int, spf: Sequence[int], limit: int) -> list[int]:
+    """N(m) = #{x mod m : x^2 = -D mod m} at every odd m <= limit, 0 at
     even m.
 
     N is multiplicative, and N(p^k) is read off in closed form
     (`_root_count`); for odd p not dividing D it is 1 + (-D/p) at every
     k, one `pow`.  No root is listed: each odd m is split by `spf`, a
-    smallest-prime-factor table, and filled with one multiply.
+    smallest-prime-factor table covering at least 0..limit, and filled
+    with one multiply.
     """
-    n_odd = [0] * (len(spf) + 1)
+    n_odd = [0] * (limit + 1)
     n_odd[1] = 1
-    for m in range(3, len(spf), 2):
+    for m in range(3, limit + 1, 2):
         p = spf[m]
         r = m // p
         if D % p == 0:
@@ -302,10 +315,9 @@ def _hurwitz(D: int) -> int | Fraction:
     """
     amax = isqrt(D // 3)
     head = isqrt(D - 1) // 2  # the largest a with 4a^2 < D
-    spf = smallest_prime_factors(amax)
-    n_odd = _odd_root_counts(D, spf)
+    spf = _spf_table(amax)
+    n_odd = _odd_root_counts(D, spf, amax)
     count = _count_head(D, head, n_odd)
-    roots = {1: [0]}
     sixths = 0  # the weight 1/2 or 1/3 of a form (a, 0, a) or (a, a, a)
     for a in range(head + 1, amax + 1):
         if not n_odd[a // (a & -a)]:  # no root mod the odd part of a
@@ -313,7 +325,7 @@ def _hurwitz(D: int) -> int | Fraction:
         t = 4 * a * a - D
         s = isqrt(t)
         stop = 2 * a - s
-        count += len([x for x in _roots_mod_4a(D, a, spf, roots) if s < x < stop])
+        count += len([x for x in _roots_mod_4a(D, a, spf) if s < x < stop])
         if s * s == t:
             if s == 0:
                 sixths += 3
@@ -337,9 +349,11 @@ def hurwitz(D: int) -> int | Fraction:
     of them, have their roots mod 4a listed (`_roots_mod_4a`), and those
     with c > a counted: only there can c = a hold and the weights 1/2 and
     1/3 apply.  Cost: O(sqrt(D)) steps for the head, one multiply per odd
-    a, plus the roots of the tail: about 0.5, 1.6 and 4.8 ms at D = 2.8e6,
-    2.8e7 and 2.8e8 on one core of a 2-vCPU VM (Python 3.11, median of 15
-    runs), where listing every form takes 2.7, 10 and 30 ms.
+    a, plus the roots of the tail: about 0.4, 1.2 and 4.6-5.6 ms at
+    D = 2.8e6, 2.8e7 and 2.8e8 on one core of a 2-vCPU VM (Python 3.11,
+    median of 15 runs) with the roots memo empty, and 0.28, 0.94 and
+    3.5-3.7 ms with it holding this D's residues; listing every form
+    takes 2.3, 8.6-9.0 and 32-35 ms.
 
     D is checked on every call; the count itself (`_hurwitz`) is
     memoised for the last 4096 distinct D.  `verify` at its default

@@ -15,9 +15,11 @@ BUILD_TIMES: dict[str, float] = {}
 
 @pytest.fixture(autouse=True)
 def cold_class_numbers():
-    """Each test starts with an empty `hurwitz` memo, so none reads a
-    class number that an earlier test computed with a helper patched."""
+    """Each test starts with empty `hurwitz` and square-root memos, so
+    none reads a class number or a root that an earlier test computed
+    with a helper patched."""
     quadforms._hurwitz.cache_clear()
+    quadforms._roots_mod_prime_power.cache_clear()
 
 
 def _timed(name, builder):

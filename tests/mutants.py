@@ -195,6 +195,23 @@ MUTANTS = (
            "        sigma = sigma1(p**(k - 1))\n",
            ("tests/test_quadforms.py::test_hurwitz_scaled_matches_direct",
             "tests/test_acceptance.py::test_criterion_6_cohen_scaling")),
+    Mutant("roots memo: -D mod p for -D mod q", "quadforms.py",
+           "        ys = _roots_mod_prime_power(-D % q, p, q)\n",
+           "        ys = _roots_mod_prime_power(-D % p, p, q)\n",
+           ("tests/test_quadforms.py::test_reduced_forms_matches_reference_below_3000",
+            "tests/test_quadforms.py::test_hurwitz_matches_weighted_forms_below_5000",
+            "tests/test_quadforms.py::test_hurwitz_golden_values")),
+    Mutant("_count_head: N(2^(v+1))", "quadforms.py",
+           "_root_count(D, 2, v + 2) // 2",
+           "_root_count(D, 2, v + 1) // 2",
+           ("tests/test_quadforms.py::test_count_head_matches_lifted_roots",
+            "tests/test_quadforms.py::test_hurwitz_golden_values")),
+    Mutant("tail weight 1/2 at (a, 0, a) as 1/3", "quadforms.py",
+           "                sixths += 3\n",
+           "                sixths += 2\n",
+           ("tests/test_quadforms.py::test_hurwitz_matches_weighted_forms_below_5000",
+            "tests/test_quadforms.py::test_hurwitz_golden_values",
+            "tests/test_quadforms.py::test_dirichlet_matches_forms")),
     Mutant("is_prime: n >= 0", "arith.py",
            "    return n > 1 and factorize(n) == [(n, 1)]\n",
            "    return n >= 0 and factorize(n) == [(n, 1)]\n",

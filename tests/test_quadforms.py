@@ -157,7 +157,7 @@ def test_root_count_matches_a_scan():
                     assert _root_count(D, p, k) == squares[-D % q], (D, p, k)
 
 
-def _ref_count_head(D, head, spf, roots):
+def _ref_count_head(D, head, spf):
     """The count that `_count_head` replaced, with N(p^k) for p = 2 and
     for p | D the length of the lifted root list; a test oracle only."""
     n_odd = [0] * (head + 2)  # N(a') at odd a'
@@ -170,7 +170,7 @@ def _ref_count_head(D, head, spf, roots):
             while r % p == 0:
                 r //= p
                 q *= p
-            n_odd[m] = n_odd[r] * len(_roots_mod_prime_power(D, p, q, roots))
+            n_odd[m] = n_odd[r] * len(_roots_mod_prime_power(-D % q, p, q))
         elif r % p == 0:  # N(p^k) = N(p)
             n_odd[m] = n_odd[r]
         elif r > 1:
@@ -179,7 +179,8 @@ def _ref_count_head(D, head, spf, roots):
             n_odd[m] = 2 if pow(-D % p, (p - 1) // 2, p) == 1 else 0
     count = 0
     for v in range(head.bit_length()):
-        rho2 = len(_roots_mod_prime_power(D, 2, 4 << v, roots)) // 2
+        q = 4 << v
+        rho2 = len(_roots_mod_prime_power(-D % q, 2, q)) // 2
         count += rho2 * sum(n_odd[1:(head >> v) + 1:2])
     return count
 
@@ -188,10 +189,23 @@ def test_count_head_matches_lifted_roots():
     # every discriminant D <= 5000 and every theorem D_n with n <= 2000
     theorem_D = [discriminant_of(n).D for n in range(1, 2001, 2) if n % 7 != 5]
     for D in [D for D in range(3, 5001) if D % 4 in (0, 3)] + theorem_D:
-        head = isqrt(D - 1) // 2
-        spf = smallest_prime_factors(isqrt(D // 3))
-        new = _count_head(D, head, _odd_root_counts(D, spf))
-        assert new == _ref_count_head(D, head, spf, {1: [0]}), D
+        head, amax = isqrt(D - 1) // 2, isqrt(D // 3)
+        spf = smallest_prime_factors(amax)
+        new = _count_head(D, head, _odd_root_counts(D, spf, amax))
+        assert new == _ref_count_head(D, head, spf), D
+
+
+def test_shared_spf_table_serves_small_D_to_its_limit():
+    # below sqrt(D/3) = 4096 every call reads the one shared table, and
+    # the counts read to the bound equal those of a table built to it
+    shared = quadforms._SPF
+    assert shared == tuple(smallest_prime_factors(4095))
+    for D in (3, 4, 308, 2800084, 28000084, 3 * 4095**2 + 8, 3 * 4096**2):
+        amax = isqrt(D // 3)
+        spf = quadforms._spf_table(amax)
+        assert (spf is shared) == (amax < 4096), D
+        own = smallest_prime_factors(amax)
+        assert _odd_root_counts(D, spf, amax) == _odd_root_counts(D, own, amax), D
 
 
 def test_hurwitz_is_an_int_except_at_3k2_and_4k2():
@@ -221,15 +235,28 @@ def test_lifted_roots_match_a_scan():
         return [x for x in range(q) if (x * x + D) % q == 0]
 
     for D in (3, 7, 11, 15, 4, 8, 12, 16, 20, 28, 2**8 * 3, 2**10 * 7, 2**12, 2**12 * 5):
-        roots = {1: [0]}
         for j in range(13):
-            assert sorted(_roots_mod_prime_power(D, 2, 2**j, roots)) == scan(D, 2**j), (D, j)
+            q = 2**j
+            assert sorted(_roots_mod_prime_power(-D % q, 2, q)) == scan(D, q), (D, j)
     for D, p, kmax in ((3**9, 3, 8), (7**3 * 5, 7, 5), (7**3 * 12, 3, 6),
                        (5**4 * 3 * 4, 5, 5), (11**4 * 3, 11, 4),
                        (7, 11, 4), (4, 13, 4), (7, 5, 6), (91, 3, 9)):
-        roots = {1: [0]}
         for k in range(kmax + 1):
-            assert sorted(_roots_mod_prime_power(D, p, p**k, roots)) == scan(D, p**k), (D, p, k)
+            q = p**k
+            assert sorted(_roots_mod_prime_power(-D % q, p, q)) == scan(D, q), (D, p, k)
+    # and every residue n mod every prime power q <= 2048 of a small
+    # prime, whichever D reaches it: n = 0 mod p, non-residues and high
+    # powers of 2, against squaring every x mod q
+    for p in (2, 3, 5, 7, 11, 13):
+        q = 1
+        while q <= 2048:
+            roots_of = [[] for _ in range(q)]
+            for x in range(q):
+                roots_of[x * x % q].append(x)
+            for n in range(q):
+                roots = _roots_mod_prime_power(n, p, q)
+                assert type(roots) is tuple and sorted(roots) == roots_of[n], (n, p, q)
+            q *= p
 
 
 def test_sqrt_mod_prime():
