@@ -27,9 +27,7 @@ entries.  They come from one rule: Tonelli-Shanks at q = p for odd p not
 dividing D, and at every other q a lift of the roots mod q/p, keeping
 those of the p residues x + t*q/p that still solve the congruence.
 Since q <= sqrt(D/3), a lift for odd p not dividing D (q = p^k, k >= 2)
-needs p <= (D/3)^(1/4).  Each a is factored by a smallest-prime-factor
-table: one shared table, built at import and only read, serves every D
-below about 5e7 (sqrt(D/3) < 4096); a larger D builds its own per call.
+needs p <= (D/3)^(1/4).
 
 `reduced_forms(D)` lists every form: for each a the roots mod 4a are
 joined by the Chinese remainder theorem and read off (`_forms`).  It
@@ -102,17 +100,6 @@ def _check_discriminant(D: int) -> None:
         )
 
 
-# The smallest prime factor of every m < 4096, built once and only read:
-# it serves every D with sqrt(D/3) < 4096, that is D below about 5e7.
-_SPF = tuple(smallest_prime_factors(4095))
-
-
-def _spf_table(amax: int) -> Sequence[int]:
-    """A smallest-prime-factor table covering 0..amax: the shared `_SPF`
-    where it does, else one built for this call."""
-    return _SPF if amax < len(_SPF) else smallest_prime_factors(amax)
-
-
 def _sqrt_mod_prime(n: int, p: int) -> int:
     """A square root of n mod the odd prime p, for n a nonzero quadratic
     residue mod p (Tonelli-Shanks)."""
@@ -144,7 +131,11 @@ def _roots_mod_prime_power(n: int, p: int, q: int) -> tuple[int, ...]:
     The roots depend on D only through that residue, so they are
     memoised per process by (n, p, q), for the last 2^16 triples:
     `verify` at its default bounds asks 17455 times for 1559 of them, and
-    one H(-D) at D = 2.8e13 fills 37389, about 4 MB.
+    one H(-D) at D = 2.8e13 fills 37389, about 4 MB.  A hit costs about
+    0.2 us against 0.04 us for a plain dict lookup, so where residues
+    seldom repeat, one-off D above about 1e6, the memo makes `hurwitz`
+    about 4-5% slower than one dict per call would; below that, where
+    many D share residues, it saves about a tenth to a fifth.
 
     At q = p for odd p and n != 0 (p not dividing D), Tonelli-Shanks gives
     the two roots, or none.  Every other q is lifted from q/p, at the
@@ -163,7 +154,7 @@ def _roots_mod_prime_power(n: int, p: int, q: int) -> tuple[int, ...]:
                   for y in range(x, q, r) if (y * y - n) % q == 0])
 
 
-def _roots_mod_4a(D: int, a: int, spf: Sequence[int]) -> Sequence[int]:
+def _roots_mod_4a(D: int, a: int, spf: list[int]) -> Sequence[int]:
     """All x in [0, 4a) with x^2 = -D mod 4a; empty if there is none.
 
     With a = 2^v * a' (a' odd), 4a = 2^(v+2) * a', and a' is factored by
@@ -187,7 +178,7 @@ def _roots_mod_4a(D: int, a: int, spf: Sequence[int]) -> Sequence[int]:
     return xs
 
 
-def _forms(D: int, a_range: range, spf: Sequence[int]):
+def _forms(D: int, a_range: range, spf: list[int]):
     """Yield the reduced forms (a, b, c) of discriminant -D with a in
     a_range, in lexicographic order.
 
@@ -221,7 +212,8 @@ def reduced_forms(D: int) -> list[BinaryQF]:
     """
     _check_discriminant(D)
     amax = isqrt(D // 3)
-    return list(_forms(D, range(1, amax + 1), _spf_table(amax)))
+    spf = smallest_prime_factors(amax)
+    return list(_forms(D, range(1, amax + 1), spf))
 
 
 def _root_count(D: int, p: int, k: int) -> int:
@@ -253,19 +245,18 @@ def _root_count(D: int, p: int, k: int) -> int:
     return units * p ** (e // 2)
 
 
-def _odd_root_counts(D: int, spf: Sequence[int], limit: int) -> list[int]:
-    """N(m) = #{x mod m : x^2 = -D mod m} at every odd m <= limit, 0 at
+def _odd_root_counts(D: int, spf: list[int]) -> list[int]:
+    """N(m) = #{x mod m : x^2 = -D mod m} at every odd m < len(spf), 0 at
     even m.
 
     N is multiplicative, and N(p^k) is read off in closed form
     (`_root_count`); for odd p not dividing D it is 1 + (-D/p) at every
     k, one `pow`.  No root is listed: each odd m is split by `spf`, a
-    smallest-prime-factor table covering at least 0..limit, and filled
-    with one multiply.
+    smallest-prime-factor table, and filled with one multiply.
     """
-    n_odd = [0] * (limit + 1)
+    n_odd = [0] * (len(spf) + 1)
     n_odd[1] = 1
-    for m in range(3, limit + 1, 2):
+    for m in range(3, len(spf), 2):
         p = spf[m]
         r = m // p
         if D % p == 0:
@@ -315,8 +306,8 @@ def _hurwitz(D: int) -> int | Fraction:
     """
     amax = isqrt(D // 3)
     head = isqrt(D - 1) // 2  # the largest a with 4a^2 < D
-    spf = _spf_table(amax)
-    n_odd = _odd_root_counts(D, spf, amax)
+    spf = smallest_prime_factors(amax)
+    n_odd = _odd_root_counts(D, spf)
     count = _count_head(D, head, n_odd)
     sixths = 0  # the weight 1/2 or 1/3 of a form (a, 0, a) or (a, a, a)
     for a in range(head + 1, amax + 1):
@@ -349,11 +340,11 @@ def hurwitz(D: int) -> int | Fraction:
     of them, have their roots mod 4a listed (`_roots_mod_4a`), and those
     with c > a counted: only there can c = a hold and the weights 1/2 and
     1/3 apply.  Cost: O(sqrt(D)) steps for the head, one multiply per odd
-    a, plus the roots of the tail: about 0.4, 1.2 and 4.6-5.6 ms at
+    a, plus the roots of the tail: about 0.4, 1.3-1.4 and 4.0-4.2 ms at
     D = 2.8e6, 2.8e7 and 2.8e8 on one core of a 2-vCPU VM (Python 3.11,
-    median of 15 runs) with the roots memo empty, and 0.28, 0.94 and
-    3.5-3.7 ms with it holding this D's residues; listing every form
-    takes 2.3, 8.6-9.0 and 32-35 ms.
+    median of 15 runs) with the roots memo empty, and 0.3, 1.0-1.1 and
+    3.2-3.4 ms with it holding this D's residues; listing every form
+    takes 2.2-2.3, 8.6-8.9 and 26-28 ms.
 
     D is checked on every call; the count itself (`_hurwitz`) is
     memoised for the last 4096 distinct D.  `verify` at its default

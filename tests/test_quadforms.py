@@ -191,21 +191,8 @@ def test_count_head_matches_lifted_roots():
     for D in [D for D in range(3, 5001) if D % 4 in (0, 3)] + theorem_D:
         head, amax = isqrt(D - 1) // 2, isqrt(D // 3)
         spf = smallest_prime_factors(amax)
-        new = _count_head(D, head, _odd_root_counts(D, spf, amax))
+        new = _count_head(D, head, _odd_root_counts(D, spf))
         assert new == _ref_count_head(D, head, spf), D
-
-
-def test_shared_spf_table_serves_small_D_to_its_limit():
-    # below sqrt(D/3) = 4096 every call reads the one shared table, and
-    # the counts read to the bound equal those of a table built to it
-    shared = quadforms._SPF
-    assert shared == tuple(smallest_prime_factors(4095))
-    for D in (3, 4, 308, 2800084, 28000084, 3 * 4095**2 + 8, 3 * 4096**2):
-        amax = isqrt(D // 3)
-        spf = quadforms._spf_table(amax)
-        assert (spf is shared) == (amax < 4096), D
-        own = smallest_prime_factors(amax)
-        assert _odd_root_counts(D, spf, amax) == _odd_root_counts(D, own, amax), D
 
 
 def test_hurwitz_is_an_int_except_at_3k2_and_4k2():
